@@ -10,14 +10,16 @@
 // run. On a multi-core machine expect >= 2x at 4 threads for the default
 // N = 2000, K = 10, ARIMA configuration.
 //
-// It also measures the zero-allocation contract: a steady-state window of
-// step_external() slots (between two scheduled retrains) must perform ZERO
-// heap allocations — counted by this TU's operator new replacement. See
-// docs/PERFORMANCE.md for how to read and enforce both properties.
+// It also measures the allocation contracts, counted by this TU's operator
+// new replacement over a steady-state window of step_external() slots
+// (between two scheduled retrains): each step must perform ZERO heap
+// allocations, and each forecast_all(h) call exactly one — the returned
+// matrix — at every horizon. See docs/PERFORMANCE.md for how to read and
+// enforce these properties.
 //
 // Flags: --nodes --steps --clusters --model --dataset --seed --threads
 // (run only {1, <threads>} instead of the default {1, 2, 4, 8} sweep);
-// --strict turns the speedup / zero-allocation WARNings into exit 1;
+// --strict turns the speedup / allocation-contract WARNings into exit 1;
 // --json PATH / --json-run LABEL select the JSON sink and append a
 // timestamped history entry for this run.
 #include <atomic>
@@ -90,13 +92,20 @@ StageRun run_once(const trace::Trace& t, const core::PipelineOptions& base,
 }
 
 struct SteadyStats {
-  std::uint64_t total_allocs = 0;
+  std::uint64_t total_allocs = 0;  ///< inside step_external()
   std::size_t window_steps = 0;
+  std::uint64_t forecast_allocs = 0;  ///< inside forecast_all(h)
+  std::size_t forecast_calls = 0;
 };
+
+/// Horizons forecast after every slot of the steady window; the second one
+/// reuses the slot's per-node estimate, the first one computes it.
+constexpr std::size_t kSteadyHorizons[] = {1, 6};
 
 /// Drives an external-collection pipeline through the first retrain, then
 /// counts heap allocations over the steady slots strictly between retrains
-/// (prebuilt messages, serial execution): the contract is zero.
+/// (prebuilt messages, serial execution): the contract is zero per step and
+/// one (the returned matrix) per forecast_all call.
 SteadyStats measure_steady_allocs(const trace::Trace& t,
                                   const core::PipelineOptions& base) {
   core::PipelineOptions o = base;
@@ -128,12 +137,24 @@ SteadyStats measure_steady_allocs(const trace::Trace& t,
 
   SteadyStats stats;
   for (std::size_t s = 0; s < window_end; ++s) {
-    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    const bool measured = s >= warm_until;
+    std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
     p.step_external(slots[s]);
-    if (s >= warm_until) {
+    if (measured) {
       stats.total_allocs +=
           g_allocs.load(std::memory_order_relaxed) - before;
       ++stats.window_steps;
+    }
+    // Forecast every slot, warm-up included, so the window sees the
+    // steady state of the per-slot estimate buffers and model scratch.
+    for (const std::size_t h : kSteadyHorizons) {
+      before = g_allocs.load(std::memory_order_relaxed);
+      const Matrix forecast = p.forecast_all(h);
+      if (measured) {
+        stats.forecast_allocs +=
+            g_allocs.load(std::memory_order_relaxed) - before;
+        ++stats.forecast_calls;
+      }
     }
   }
   return stats;
@@ -212,9 +233,10 @@ int main(int argc, char** argv) {
   }
   bench::emit(table, args);
 
-  // -- steady-state allocation contract ----------------------------------
-  // Between retrains, step_external() must not touch the heap at all (see
-  // docs/PERFORMANCE.md "Zero-allocation steady state").
+  // -- steady-state allocation contracts ---------------------------------
+  // Between retrains, step_external() must not touch the heap at all and
+  // forecast_all(h) only for its result (see docs/PERFORMANCE.md
+  // "Zero-allocation steady state" and "Per-slot estimate cache").
   const std::size_t steady_need =
       base.schedule.initial_steps + base.schedule.retrain_interval - 1;
   bool steady_ok = true;
@@ -225,17 +247,31 @@ int main(int argc, char** argv) {
             ? static_cast<double>(steady.total_allocs) /
                   static_cast<double>(steady.window_steps)
             : 0.0;
+    const double per_forecast =
+        steady.forecast_calls > 0
+            ? static_cast<double>(steady.forecast_allocs) /
+                  static_cast<double>(steady.forecast_calls)
+            : 0.0;
     sink.add("steady", {{"steady_allocs_per_step", per_step},
                         {"steady_window_steps",
-                         static_cast<double>(steady.window_steps)}});
+                         static_cast<double>(steady.window_steps)},
+                        {"steady_forecast_allocs_per_call", per_forecast}});
     std::cout << "\nsteady-state window: " << steady.window_steps
               << " steps, " << steady.total_allocs
-              << " heap allocations (contract: 0)\n";
+              << " heap allocations (contract: 0); " << steady.forecast_calls
+              << " forecast_all calls, " << steady.forecast_allocs
+              << " heap allocations (contract: 1 per call)\n";
     if (steady.total_allocs != 0) {
       steady_ok = false;
       std::cout << "WARNING: steady-state step path allocated "
                 << steady.total_allocs << " times; the zero-allocation "
                 << "contract is broken (see docs/PERFORMANCE.md)\n";
+    }
+    if (steady.forecast_allocs > steady.forecast_calls) {
+      steady_ok = false;
+      std::cout << "WARNING: steady-state forecast_all allocated "
+                << per_forecast << " times per call (contract: 1, the "
+                << "returned matrix; see docs/PERFORMANCE.md)\n";
     }
   } else {
     std::cout << "\nsteady-state allocation check skipped: needs --steps >= "

@@ -29,6 +29,9 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
         1, static_cast<std::size_t>(std::thread::hardware_concurrency()));
   }
   workers_.reserve(count);
+  // Every thread (workers plus one outside caller) can hold a region open
+  // at each nesting level it is in. No worker runs yet, so no lock.
+  loops_.reserve((count + 1) * kNestingReserve);
   for (std::size_t i = 0; i < count; ++i) {
     workers_.emplace_back([this]() { worker_main(); });
   }
@@ -54,13 +57,14 @@ void ThreadPool::enqueue(std::function<void()> task) {
 std::shared_ptr<ThreadPool::ForLoop> ThreadPool::runnable_loop_locked() {
   // Retire exhausted regions (their caller is responsible for completion
   // tracking; once every chunk is claimed there is nothing left to help
-  // with). The deque stays tiny — its depth is the nesting depth of
-  // parallel regions — so the scan is cheap.
-  while (!loops_.empty() &&
-         loops_.front()->next.load(std::memory_order_relaxed) >=
-             loops_.front()->chunks) {
-    loops_.pop_front();
+  // with). The list stays tiny — its depth is the nesting depth of
+  // parallel regions — so the scan and the front erase are cheap.
+  auto live = loops_.begin();
+  while (live != loops_.end() &&
+         (*live)->next.load(std::memory_order_relaxed) >= (*live)->chunks) {
+    ++live;
   }
+  loops_.erase(loops_.begin(), live);
   for (const std::shared_ptr<ForLoop>& loop : loops_) {
     if (loop->next.load(std::memory_order_relaxed) < loop->chunks) {
       return loop;

@@ -109,8 +109,13 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_ RESMON_GUARDED_BY(mutex_);
   /// Active parallel regions, newest last. Workers claim chunks directly
   /// from these descriptors; one push + wakeup per region replaces the old
-  /// per-helper closure enqueue.
-  std::deque<std::shared_ptr<ForLoop>> loops_ RESMON_GUARDED_BY(mutex_);
+  /// per-helper closure enqueue. Reserved at construction for
+  /// kNestingReserve regions per thread, so publishing and retiring regions
+  /// never allocates and the allocation count of a parallel step does not
+  /// depend on thread timing (a deque allocates and frees blocks as its
+  /// ends move, at moments set by whichever thread gets there first).
+  std::vector<std::shared_ptr<ForLoop>> loops_ RESMON_GUARDED_BY(mutex_);
+  static constexpr std::size_t kNestingReserve = 4;
   bool stopping_ RESMON_GUARDED_BY(mutex_) = false;
 };
 

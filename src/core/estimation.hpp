@@ -7,6 +7,7 @@
 //    keeps "centroid + offset" inside the node's own cluster.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -25,6 +26,10 @@ double alpha_scale(std::span<const double> delta, const Matrix& centroids,
 
 /// Rolling window of (clustering, stored-snapshot) pairs that answers the
 /// two per-node questions above. Push once per time step, newest first.
+/// Both questions go through one per-node kernel each (membership counts
+/// kept exact by push(), and one entry's alpha-scaled deviation), shared by
+/// the per-node queries and the bulk estimate_into(), so every path
+/// returns bit-identical values.
 class OffsetTracker {
  public:
   /// `m_prime` is M' (the paper's look-back, default 5); `k` the number of
@@ -34,7 +39,7 @@ class OffsetTracker {
 
   /// Record this step's clustering and the snapshot it was computed from
   /// (snapshot rows must be in the same measurement space as the
-  /// clustering's centroids).
+  /// clustering's centroids; every assignment must be < k).
   void push(const cluster::Clustering& clustering, const Matrix& snapshot);
 
   std::size_t steps() const { return ring_size_; }
@@ -47,16 +52,36 @@ class OffsetTracker {
   /// s-hat of eq. (12) for `node` relative to cluster `j`.
   std::vector<double> offset(std::size_t node, std::size_t j) const;
 
+  /// Bulk estimate for every node: modal[i] = modal_cluster(i) and, when
+  /// `offsets` is non-null, its row i = offset(i, modal[i]) (N x dims),
+  /// bit-identical to the per-node queries. Both buffers are resized in
+  /// place, so a caller that reuses them allocates nothing at steady state.
+  void estimate_into(std::vector<std::size_t>& modal, Matrix* offsets) const;
+
  private:
   struct Entry {
     cluster::Clustering clustering;
     Matrix snapshot;
+    // Row j * k + l = c_l - c_j and gap2[j * k + l] = ||c_l - c_j||^2:
+    // the centroid geometry alpha needs, computed once per push.
+    Matrix gaps;
+    std::vector<double> gap2;
   };
 
   /// Entry `age` steps back (0 = most recent). Requires age < steps().
   const Entry& entry(std::size_t age) const {
     return ring_[(ring_head_ + age) % ring_.size()];
   }
+
+  /// Adds one cluster count per node for `assignment` (`sign` = +1) or
+  /// removes them (`sign` = -1).
+  void count(const std::vector<std::size_t>& assignment, int sign);
+  /// Most frequent cluster of `node` in counts_, ties to the lower index.
+  std::size_t modal_of(std::size_t node) const;
+  /// Adds entry `e`'s eq. (12) term alpha * (z_node - c_j) to `acc`
+  /// (dims values).
+  void add_deviation(const Entry& e, std::size_t node, std::size_t j,
+                     double* acc) const;
 
   std::size_t m_prime_;
   std::size_t k_;
@@ -66,6 +91,9 @@ class OffsetTracker {
   std::vector<Entry> ring_;
   std::size_t ring_head_ = 0;
   std::size_t ring_size_ = 0;
+  // counts_[node * k + j]: how many ring entries assign `node` to cluster j;
+  // sized on the first push, updated incrementally by every push.
+  std::vector<std::uint32_t> counts_;
 };
 
 }  // namespace resmon::core

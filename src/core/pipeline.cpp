@@ -110,6 +110,7 @@ MonitoringPipeline::MonitoringPipeline(const trace::Trace& trace,
     snapshot_ring_[v].resize(snapshot_capacity_);
   }
   if (options.temporal_window > 1) features_scratch_.resize(views);
+  estimates_.resize(views);
   for (std::size_t v = 0; v < views; ++v) {
     cluster::DynamicClusterOptions vopts = copts;
     vopts.metrics_view = std::to_string(v);
@@ -320,24 +321,35 @@ Matrix MonitoringPipeline::forecast_all(std::size_t h) const {
     return out;
   }
 
+  // Only the centroid forecasts depend on h: each view's modal clusters
+  // and offsets are computed once per slot, by the first forecast after a
+  // step, and reused for every further horizon.
+  if (estimates_step_ != step_count_) {
+    for (std::size_t v = 0; v < trackers_.size(); ++v) {
+      offsets_[v].estimate_into(
+          estimates_[v].modal,
+          options_.use_offset ? &estimates_[v].offsets : nullptr);
+    }
+    estimates_step_ = step_count_;
+  }
+
   const std::size_t dims = view_dims();
+  Matrix& c_hat = c_hat_scratch_;
   for (std::size_t v = 0; v < trackers_.size(); ++v) {
     // Forecasted centroids for every cluster of this view.
-    Matrix c_hat(options_.num_clusters, dims);
+    c_hat.resize(options_.num_clusters, dims);
     for (std::size_t j = 0; j < options_.num_clusters; ++j) {
       for (std::size_t dim = 0; dim < dims; ++dim) {
         c_hat(j, dim) = models_[v][j * dims + dim]->forecast(h);
       }
     }
+    const ViewEstimate& est = estimates_[v];
     for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t j = offsets_[v].modal_cluster(i);
-      const std::vector<double> offset =
-          options_.use_offset ? offsets_[v].offset(i, j)
-                              : std::vector<double>(dims, 0.0);
+      const std::size_t j = est.modal[i];
       for (std::size_t dim = 0; dim < dims; ++dim) {
-        const double value = c_hat(j, dim) + offset[dim];
+        const double offset = options_.use_offset ? est.offsets(i, dim) : 0.0;
         const std::size_t r = options_.cluster_per_resource ? v : dim;
-        out(i, r) = value;
+        out(i, r) = c_hat(j, dim) + offset;
       }
     }
   }

@@ -144,8 +144,17 @@ class MonitoringPipeline {
   bool done() const { return step_count_ >= trace_.num_steps(); }
 
   /// x-hat_{i,t+h} for all nodes (N x d). h = 0 returns the stored z_t
-  /// (matching the paper's convention in eq. (3)); h >= 1 combines centroid
-  /// forecasts with per-node offsets. Requires at least one step().
+  /// (matching the paper's convention in eq. (3)) and never touches the
+  /// estimate cache; h >= 1 combines centroid forecasts with per-node
+  /// offsets. Requires at least one step().
+  ///
+  /// The per-node part of the estimate (modal cluster and eq. (12) offset)
+  /// does not depend on h: the first h >= 1 call after a step computes it
+  /// for every node into reused per-view buffers, and every later call in
+  /// the same slot only forecasts the K centroids and gathers. Steady-state
+  /// calls allocate exactly once, for the returned matrix. Not thread-safe:
+  /// it writes the mutable cache, so it must not run concurrently with
+  /// itself or with step()/step_external().
   Matrix forecast_all(std::size_t h) const;
 
   /// RMSE(t, h) of eq. (3) against the trace's ground truth at step
@@ -244,6 +253,18 @@ class MonitoringPipeline {
   std::size_t snap_size_ = 0;
   // Per-view clustering-feature scratch for the temporal window path.
   mutable std::vector<Matrix> features_scratch_;
+  // Per-slot estimate cache of forecast_all(h >= 1): each view's modal
+  // cluster per node and N x view_dims() offsets (left empty when
+  // use_offset is off), valid while estimates_step_ == step_count_. Like
+  // the scratch above these are written by const forecast_all(), which is
+  // why it must not run concurrently with itself or with a step.
+  struct ViewEstimate {
+    std::vector<std::size_t> modal;
+    Matrix offsets;
+  };
+  mutable std::vector<ViewEstimate> estimates_;
+  mutable std::size_t estimates_step_ = 0;  // 0 = never filled
+  mutable Matrix c_hat_scratch_;             // K x view_dims()
   std::size_t step_count_ = 0;
   /// Fallback registry, owned only when PipelineOptions::metrics is null.
   std::unique_ptr<obs::MetricsRegistry> owned_registry_;

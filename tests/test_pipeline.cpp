@@ -1,6 +1,8 @@
 #include "core/pipeline.hpp"
 
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -416,6 +418,166 @@ TEST(Pipeline, TraceEventsRecordOneSpanPerStage) {
   EXPECT_EQ(collect, 20u);
   EXPECT_EQ(cluster, 20u);
   EXPECT_EQ(forecast, 20u);
+}
+
+// ---- per-slot estimate cache ---------------------------------------------
+
+// Uncached reference for forecast_all(h >= 1): one OffsetTracker per view,
+// fed the same clustering and stored snapshot after every step and asked
+// node by node, with the centroid forecasts read from the pipeline's own
+// models. A forecast_all that reused a previous slot's estimate differs.
+class ReferenceForecast {
+ public:
+  explicit ReferenceForecast(const MonitoringPipeline& p) {
+    for (std::size_t v = 0; v < p.num_views(); ++v) {
+      offsets_.emplace_back(p.options().offset_lookback,
+                            p.options().num_clusters,
+                            p.options().offset_alpha);
+    }
+  }
+
+  /// Call after every step of `p` (on a reliable link, so no warm-up).
+  void observe(const MonitoringPipeline& p) {
+    const std::size_t n = p.trace().num_nodes();
+    for (std::size_t v = 0; v < offsets_.size(); ++v) {
+      Matrix snap(n, dims(p));
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::vector<double>& z = p.central_store().stored(i);
+        for (std::size_t dim = 0; dim < dims(p); ++dim) {
+          snap(i, dim) = z[resource(p, v, dim)];
+        }
+      }
+      offsets_[v].push(p.tracker(v).history(0), snap);
+    }
+  }
+
+  Matrix forecast(const MonitoringPipeline& p, std::size_t h) const {
+    const std::size_t n = p.trace().num_nodes();
+    Matrix out(n, p.trace().num_resources());
+    for (std::size_t v = 0; v < offsets_.size(); ++v) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t j = offsets_[v].modal_cluster(i);
+        const std::vector<double> offset =
+            p.options().use_offset ? offsets_[v].offset(i, j)
+                                   : std::vector<double>(dims(p), 0.0);
+        for (std::size_t dim = 0; dim < dims(p); ++dim) {
+          out(i, resource(p, v, dim)) =
+              p.model(v, j, dim).forecast(h) + offset[dim];
+        }
+      }
+    }
+    return out;
+  }
+
+ private:
+  static std::size_t dims(const MonitoringPipeline& p) {
+    return p.options().cluster_per_resource ? 1 : p.trace().num_resources();
+  }
+  static std::size_t resource(const MonitoringPipeline& p, std::size_t v,
+                              std::size_t dim) {
+    return p.options().cluster_per_resource ? v : dim;
+  }
+
+  std::vector<OffsetTracker> offsets_;
+};
+
+bool bitwise_equal(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(double)) == 0;
+}
+
+PipelineOptions horizon_options() {
+  PipelineOptions o = fast_options();
+  // Holt-Winters forecasts differ per horizon, unlike sample-and-hold.
+  o.forecaster = forecast::ForecasterKind::kHoltWinters;
+  return o;
+}
+
+// Forecasts h1, h2, h1 after every slot and checks each against the
+// uncached reference.
+void expect_every_slot_matches(MonitoringPipeline& p,
+                               ReferenceForecast& reference,
+                               const std::function<void()>& step,
+                               std::size_t slots) {
+  for (std::size_t s = 0; s < slots; ++s) {
+    step();
+    reference.observe(p);
+    for (const std::size_t h : {1, 4, 1}) {
+      ASSERT_TRUE(bitwise_equal(p.forecast_all(h), reference.forecast(p, h)))
+          << "slot " << s << " horizon " << h;
+    }
+  }
+}
+
+TEST(Pipeline, ForecastAllRepeatsWithinASlotAcrossHorizons) {
+  const trace::InMemoryTrace t = small_trace(20, 80);
+  MonitoringPipeline p(t, horizon_options());
+  p.run(70);  // past the initial fit at step 50
+  const Matrix first = p.forecast_all(1);
+  const Matrix other = p.forecast_all(6);
+  const Matrix again = p.forecast_all(1);
+  EXPECT_TRUE(bitwise_equal(first, again));
+  EXPECT_FALSE(bitwise_equal(first, other));
+  // h = 0 neither reads nor disturbs the cached estimate.
+  const Matrix stored = p.forecast_all(0);
+  EXPECT_TRUE(bitwise_equal(p.forecast_all(6), other));
+  EXPECT_FALSE(bitwise_equal(stored, first));
+}
+
+TEST(Pipeline, ForecastAllFollowsEveryStep) {
+  const trace::InMemoryTrace t = small_trace(20, 80);
+  MonitoringPipeline p(t, horizon_options());
+  ReferenceForecast reference(p);
+  expect_every_slot_matches(p, reference, [&] { p.step(); }, 80);
+}
+
+TEST(Pipeline, ForecastAllFollowsEveryExternalStep) {
+  const trace::InMemoryTrace t = small_trace(20, 80);
+  MonitoringPipeline p(t, horizon_options(), ExternalCollection{});
+  ReferenceForecast reference(p);
+  std::vector<transport::MeasurementMessage> messages(t.num_nodes());
+  std::size_t slot = 0;
+  const auto step = [&] {
+    for (std::size_t i = 0; i < t.num_nodes(); ++i) {
+      messages[i].node = i;
+      messages[i].step = slot;
+      messages[i].values.resize(t.num_resources());
+      for (std::size_t r = 0; r < t.num_resources(); ++r) {
+        messages[i].values[r] = t.value(i, slot, r);
+      }
+    }
+    p.step_external(messages);
+    ++slot;
+  };
+  expect_every_slot_matches(p, reference, step, 80);
+}
+
+TEST(Pipeline, ForecastAllFollowsEveryStepWithoutOffsets) {
+  const trace::InMemoryTrace t = small_trace(20, 60);
+  PipelineOptions o = horizon_options();
+  o.use_offset = false;
+  MonitoringPipeline p(t, o);
+  ReferenceForecast reference(p);
+  expect_every_slot_matches(p, reference, [&] { p.step(); }, 60);
+}
+
+TEST(Pipeline, ForecastAllFollowsEveryStepWithATemporalWindow) {
+  const trace::InMemoryTrace t = small_trace(20, 60);
+  PipelineOptions o = horizon_options();
+  o.temporal_window = 3;
+  MonitoringPipeline p(t, o);
+  ReferenceForecast reference(p);
+  expect_every_slot_matches(p, reference, [&] { p.step(); }, 60);
+}
+
+TEST(Pipeline, ForecastAllFollowsEveryStepWithJointClustering) {
+  const trace::InMemoryTrace t = small_trace(20, 60);
+  PipelineOptions o = horizon_options();
+  o.cluster_per_resource = false;
+  MonitoringPipeline p(t, o);
+  ReferenceForecast reference(p);
+  expect_every_slot_matches(p, reference, [&] { p.step(); }, 60);
 }
 
 }  // namespace
