@@ -55,6 +55,37 @@ void BM_KMeansKernelPath(benchmark::State& state) {
 }
 BENCHMARK(BM_KMeansKernelPath)->Arg(0)->Arg(1);
 
+// Per-slot shaped K-means: what the central node runs every slot on a
+// paper-scale snapshot (N = 4096 nodes of one alibaba slot, K = 3, default
+// restarts), through one KMeansScratch reused across calls as the tracker
+// does. Arg = dimension: 1 = per-resource scalar clustering (one resource),
+// 2 = joint clustering of both resources.
+void BM_KMeansIntoPerSlot(benchmark::State& state) {
+  const std::size_t d = static_cast<std::size_t>(state.range(0));
+  const std::size_t n = 4096;
+  trace::SyntheticProfile profile = trace::alibaba_profile();
+  profile.num_nodes = n;
+  profile.num_steps = 64;
+  const trace::InMemoryTrace t = trace::generate(profile, 1);
+  Matrix points(n, d);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t c = 0; c < d; ++c) points(i, c) = t.value(i, 63, c);
+  }
+  cluster::KMeansScratch scratch;
+  cluster::KMeansResult result;
+  std::size_t iterations = 0;
+  for (auto _ : state) {
+    Rng local(2);
+    cluster::kmeans_into(points, 3, local, {}, scratch, result);
+    iterations += result.iterations;
+    benchmark::DoNotOptimize(result.inertia);
+  }
+  state.counters["lloyd_iters"] = benchmark::Counter(
+      static_cast<double>(iterations), benchmark::Counter::kAvgIterations);
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_KMeansIntoPerSlot)->Arg(1)->Arg(2);
+
 void BM_Hungarian(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   Rng rng(3);

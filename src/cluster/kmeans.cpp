@@ -11,9 +11,10 @@ namespace resmon::cluster {
 
 namespace {
 
-/// Fixed chunk grain of the parallel point loops. Determinism requires the
-/// chunk partition to depend only on the point count, never on the thread
-/// count, so this is a constant — do not derive it from pool size.
+/// Fixed chunk size of the Lloyd pass: each chunk is one SIMD lane with its
+/// own partials, merged in chunk order. Determinism requires the chunk
+/// partition to depend only on the point count, never on the thread count,
+/// so this is a constant — do not derive it from pool size.
 constexpr std::size_t kPointGrain = 256;
 
 /// Minimum n*k*d work per parallel region before a pool is worth waking:
@@ -22,6 +23,11 @@ constexpr std::size_t kPointGrain = 256;
 /// docs/PERFORMANCE.md). The chunk partition is unchanged — only the
 /// execution venue — so results stay bit-identical.
 constexpr std::size_t kMinParallelWork = std::size_t{1} << 19;
+
+/// Lanes (whole chunks) per pool task of the Lloyd pass: 16 chunks, 4096
+/// points, in whole lane vectors. Unlike kPointGrain it only moves work
+/// between threads; each chunk's partials are the same in any task.
+constexpr std::size_t kLaneGrain = 4 * kern::kLloydLaneWidth;
 
 ThreadPool* effective_pool(const KMeansOptions& options, std::size_t n,
                            std::size_t k, std::size_t d) {
@@ -64,90 +70,149 @@ void seed_centroids_into(const SoaMatrix& soa, std::size_t k, Rng& rng,
   }
 }
 
+/// Where each chunk of n points sits in the fused Lloyd pass: the `full`
+/// whole chunks are SIMD lanes, padded with zero lanes to `stride` (a whole
+/// number of lane vectors); the partial `tail` chunk, if any, is one more
+/// lane of its own, read straight from the row-major points. Every
+/// per-chunk array in KMeansScratch uses this layout.
+struct LaneLayout {
+  explicit LaneLayout(std::size_t n)
+      : full(n / kPointGrain),
+        stride((full + kern::kLloydLaneWidth - 1) / kern::kLloydLaneWidth *
+               kern::kLloydLaneWidth),
+        tail(n % kPointGrain) {}
+  std::size_t full;
+  std::size_t stride;
+  std::size_t tail;
+};
+
+/// Refills scratch.lanes, the chunk-interleaved copy of the whole chunks:
+/// lanes[(p * d + dim) * stride + l] = points(l * kPointGrain + p, dim),
+/// and 0.0 in the padding lanes l >= full.
+void interleave_points(const Matrix& points, KMeansScratch& scratch) {
+  const LaneLayout lay(points.rows());
+  const std::size_t d = points.cols();
+  scratch.lanes.resize(kPointGrain * d * lay.stride);
+  for (std::size_t p = 0; p < kPointGrain; ++p) {
+    double* row_p = scratch.lanes.data() + p * d * lay.stride;
+    for (std::size_t l = 0; l < lay.stride; ++l) {
+      for (std::size_t dim = 0; dim < d; ++dim) {
+        row_p[dim * lay.stride + l] =
+            l < lay.full ? points(l * kPointGrain + p, dim) : 0.0;
+      }
+    }
+  }
+}
+
+/// One fused Lloyd pass over every chunk (kern::lloyd_lanes): the whole
+/// chunks, split across the pool by lane blocks, write their assignment to
+/// scratch.lane_assign (lane order); the tail chunk writes its own straight
+/// into `assignment` (a single lane is point order). Each chunk's inertia,
+/// sums and counts land in the scratch lane arrays.
+void lloyd_pass(const Matrix& points, std::size_t k, const Matrix& centroids,
+                ThreadPool* pool, KMeansScratch& scratch,
+                std::vector<std::size_t>& assignment) {
+  const LaneLayout lay(points.rows());
+  const std::size_t d = points.cols();
+  const double* c = centroids.data().data();
+  run_chunked(pool, lay.stride, kLaneGrain,
+              [&](std::size_t, std::size_t begin, std::size_t end) {
+                kern::lloyd_lanes(scratch.lanes.data(), d, lay.stride,
+                                  kPointGrain, c, k, begin, end,
+                                  scratch.lane_assign.data(),
+                                  scratch.lane_inertia.data(),
+                                  scratch.lane_sums.data(),
+                                  scratch.lane_counts.data());
+              });
+  if (lay.tail > 0) {
+    const std::size_t first = lay.full * kPointGrain;
+    kern::lloyd_lanes(points.data().data() + first * d, d, 1, lay.tail, c, k,
+                      0, 1, assignment.data() + first,
+                      scratch.lane_inertia.data() + lay.stride,
+                      scratch.lane_sums.data() + lay.stride * k * d,
+                      scratch.lane_counts.data() + lay.stride * k);
+  }
+}
+
+/// Copies the whole chunks' assignment from lane order to point order.
+void unscramble_assignment(const LaneLayout& lay,
+                           const std::vector<std::size_t>& lane_assign,
+                           std::vector<std::size_t>& assignment) {
+  for (std::size_t l = 0; l < lay.full; ++l) {
+    for (std::size_t p = 0; p < kPointGrain; ++p) {
+      assignment[l * kPointGrain + p] = lane_assign[p * lay.stride + l];
+    }
+  }
+}
+
+/// Merges the chunk partials of one pass in chunk order — whole chunks,
+/// then the tail — into the cluster sums and counts; returns the inertia.
+/// Each sum starts at 0.0, as the per-chunk partials do, so the operation
+/// sequence is the same at every thread count and on both kernel paths.
+double merge_partials(const LaneLayout& lay, std::size_t k, std::size_t d,
+                      KMeansScratch& scratch) {
+  const bool has_tail = lay.tail > 0;
+  double inertia = 0.0;
+  for (std::size_t c = 0; c < lay.full; ++c) {
+    inertia += scratch.lane_inertia[c];
+  }
+  if (has_tail) inertia += scratch.lane_inertia[lay.stride];
+  const double* tail_sums = scratch.lane_sums.data() + lay.stride * k * d;
+  const std::uint64_t* tail_counts =
+      scratch.lane_counts.data() + lay.stride * k;
+  for (std::size_t j = 0; j < k; ++j) {
+    std::size_t count = has_tail ? tail_counts[j] : 0;
+    for (std::size_t c = 0; c < lay.full; ++c) {
+      count += scratch.lane_counts[j * lay.stride + c];
+    }
+    scratch.counts[j] = count;
+    for (std::size_t dim = 0; dim < d; ++dim) {
+      const double* lane =
+          scratch.lane_sums.data() + (j * d + dim) * lay.stride;
+      double sum = 0.0;
+      for (std::size_t c = 0; c < lay.full; ++c) sum += lane[c];
+      if (has_tail) sum += tail_sums[j * d + dim];
+      scratch.sums(j, dim) = sum;
+    }
+  }
+  return inertia;
+}
+
 void run_once_into(const Matrix& points, std::size_t k, Rng& rng,
                    const KMeansOptions& options, KMeansScratch& scratch,
                    KMeansResult& result) {
   const std::size_t n = points.rows();
   const std::size_t d = points.cols();
   ThreadPool* pool = effective_pool(options, n, k, d);
-  const SoaMatrix& soa = scratch.soa;
+  const LaneLayout lay(n);
 
   result.iterations = 0;
-  seed_centroids_into(soa, k, rng, scratch.dist2, result.centroids);
+  seed_centroids_into(scratch.soa, k, rng, scratch.dist2, result.centroids);
   result.assignment.assign(n, 0);
-  scratch.best_d2.resize(n);
-  scratch.best_j.resize(n);
 
   double prev_inertia = std::numeric_limits<double>::max();
   scratch.counts.assign(k, 0);
+  scratch.sums.resize(k, d);
+  scratch.lane_assign.resize(kPointGrain * lay.stride);
+  scratch.lane_inertia.resize(lay.stride + 1);
+  scratch.lane_sums.resize((lay.stride + 1) * k * d);
+  scratch.lane_counts.resize((lay.stride + 1) * k);
 
-  // Per-chunk partial reductions of the two point loops. The partition is
-  // fixed by kPointGrain, each chunk accumulates its slice in index order,
-  // and the merges below walk chunks in order — so the floating-point
-  // operation sequence is identical at every thread count.
-  const std::size_t chunks = ThreadPool::num_chunks(n, kPointGrain);
-  scratch.chunk_inertia.resize(chunks);
-  scratch.chunk_sums.resize(chunks);
-  scratch.chunk_counts.resize(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    scratch.chunk_sums[c].resize(k, d);
-    scratch.chunk_counts[c].assign(k, 0);
-  }
-
+  // The whole chunks' assignment stays in lane order until it is needed in
+  // point order: by an empty-cluster repair, or once the run ends.
+  bool in_lane_order = false;
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations = iter + 1;
+    lloyd_pass(points, k, result.centroids, pool, scratch, result.assignment);
+    in_lane_order = true;
+    const double inertia = merge_partials(lay, k, d, scratch);
 
-    // Assignment step: the kernel scans centroids in index order with a
-    // strict `<`, so each point's winner and squared distance match the
-    // scalar argmin bit for bit; the per-chunk inertia then sums the
-    // already-computed best_d2 in point order (the same values the old
-    // code recomputed with squared_distance).
-    run_chunked(pool, n, kPointGrain,
-                [&](std::size_t c, std::size_t begin, std::size_t end) {
-                  kern::nearest_centroids(
-                      soa.col_ptrs(), d, result.centroids.data().data(), k,
-                      begin, end, scratch.best_j.data(),
-                      scratch.best_d2.data());
-                  double local = 0.0;
-                  for (std::size_t i = begin; i < end; ++i) {
-                    result.assignment[i] = scratch.best_j[i];
-                    local += scratch.best_d2[i];
-                  }
-                  scratch.chunk_inertia[c].value = local;
-                });
-    double inertia = 0.0;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      inertia += scratch.chunk_inertia[c].value;
-    }
-
-    // Update step: accumulation stays in point order (row-major reads are
-    // already contiguous here), merged chunk by chunk.
-    run_chunked(pool, n, kPointGrain,
-                [&](std::size_t c, std::size_t begin, std::size_t end) {
-                  Matrix& local_sums = scratch.chunk_sums[c];
-                  std::fill(local_sums.data().begin(),
-                            local_sums.data().end(), 0.0);
-                  std::vector<std::size_t>& local_counts =
-                      scratch.chunk_counts[c];
-                  std::fill(local_counts.begin(), local_counts.end(), 0);
-                  for (std::size_t i = begin; i < end; ++i) {
-                    const std::size_t j = result.assignment[i];
-                    ++local_counts[j];
-                    axpy(1.0, points.row(i), local_sums.row(j));
-                  }
-                });
-    Matrix& sums = scratch.sums;
-    sums.resize(k, d);
-    std::vector<std::size_t>& counts = scratch.counts;
-    std::fill(counts.begin(), counts.end(), 0);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      sums += scratch.chunk_sums[c];
-      for (std::size_t j = 0; j < k; ++j) {
-        counts[j] += scratch.chunk_counts[c][j];
-      }
-    }
     for (std::size_t j = 0; j < k; ++j) {
-      if (counts[j] == 0) {
+      if (scratch.counts[j] == 0) {
+        if (in_lane_order) {
+          unscramble_assignment(lay, scratch.lane_assign, result.assignment);
+          in_lane_order = false;
+        }
         // Empty cluster: seize the point farthest from its own centroid.
         std::size_t worst = 0;
         double worst_d2 = -1.0;
@@ -167,7 +232,7 @@ void run_once_into(const Matrix& points, std::size_t k, Rng& rng,
       }
       for (std::size_t c = 0; c < d; ++c) {
         result.centroids(j, c) =
-            sums(j, c) / static_cast<double>(counts[j]);
+            scratch.sums(j, c) / static_cast<double>(scratch.counts[j]);
       }
     }
 
@@ -177,6 +242,9 @@ void run_once_into(const Matrix& points, std::size_t k, Rng& rng,
     }
     prev_inertia = inertia;
     result.inertia = inertia;
+  }
+  if (in_lane_order) {
+    unscramble_assignment(lay, scratch.lane_assign, result.assignment);
   }
 }
 
@@ -190,6 +258,7 @@ void kmeans_into(const Matrix& points, std::size_t k, Rng& rng,
                  "kmeans: k must be in [1, #points]");
 
   scratch.soa.assign_from(points);
+  interleave_points(points, scratch);
   const std::size_t restarts = std::max<std::size_t>(1, options.restarts);
   run_once_into(points, k, rng, options, scratch, out);
   for (std::size_t r = 1; r < restarts; ++r) {

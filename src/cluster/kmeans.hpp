@@ -6,9 +6,11 @@
 // full-vector clustering, temporal-window clustering (Fig. 5) and the
 // offline whole-series baseline.
 //
-// The assignment and seeding scans run on the dispatchable SIMD kernels of
-// common/kernels.hpp over a dimension-major (SoA) copy of the points; the
-// scalar and SIMD paths are bit-identical (DESIGN.md "Memory layout & SIMD
+// Seeding runs on the dispatchable SIMD kernels of common/kernels.hpp over
+// a dimension-major (SoA) copy of the points, and each Lloyd iteration is
+// one fused kernel pass (assignment, inertia, cluster sums and counts) over
+// a chunk-interleaved copy, one SIMD lane per 256-point chunk; the scalar
+// and SIMD paths are bit-identical (DESIGN.md "Memory layout & SIMD
 // kernels"). Callers on the per-slot hot path pass a KMeansScratch via
 // kmeans_into() so repeated runs perform no steady-state allocations.
 #pragma once
@@ -31,7 +33,7 @@ struct KMeansOptions {
   std::size_t max_iterations = 100;
   std::size_t restarts = 2;    ///< independent k-means++ restarts; best kept.
   double tolerance = 1e-10;    ///< stop when inertia improvement is below.
-  /// Optional worker pool for the assignment and centroid-update loops.
+  /// Optional worker pool for the Lloyd passes.
   /// Results are bit-identical with and without a pool: the loops use a
   /// fixed chunk partition and merge per-chunk partials in chunk order
   /// (see common/thread_pool.hpp), and all RNG draws (seeding) stay on the
@@ -48,25 +50,31 @@ struct KMeansResult {
   std::size_t iterations = 0;           ///< Lloyd iterations of best restart
 };
 
-/// Reusable buffers for kmeans_into(): the SoA mirror of the points, the
-/// per-point nearest-centroid scratch the kernels fill, per-chunk reduction
-/// slots, and the runner-up restart result. Owned by long-lived callers
+/// Reusable buffers for kmeans_into(). Owned by long-lived callers
 /// (DynamicClusterTracker) so the per-step path allocates nothing once
-/// warm.
+/// warm. The Lloyd iterations run on fixed 256-point chunks: the `full` =
+/// n / 256 whole chunks are SIMD lanes, padded with zero lanes to `stride`
+/// (a multiple of kern::kLloydLaneWidth), and a partial tail chunk is one
+/// more lane of its own. Chunk c's partials sit in lane c of the arrays
+/// below; the tail's sit after the `stride` lane slots.
 struct KMeansScratch {
-  SoaMatrix soa;
-  std::vector<double> best_d2;
-  std::vector<std::uint32_t> best_j;
+  SoaMatrix soa;              ///< dimension-major points: k-means++ seeding
   std::vector<double> dist2;  ///< k-means++ seeding distances
-  /// Per-chunk inertia partials, cache-line padded: adjacent chunks are
-  /// reduced by different workers, and unpadded doubles false-share.
-  struct alignas(64) PaddedDouble {
-    double value = 0.0;
-  };
-  std::vector<PaddedDouble> chunk_inertia;
-  std::vector<Matrix> chunk_sums;
-  Matrix sums;  ///< chunk_sums merged in chunk order
-  std::vector<std::vector<std::size_t>> chunk_counts;
+  /// The whole chunks, chunk-interleaved for the fused Lloyd kernel:
+  /// lanes[(p * d + dim) * stride + l] is coordinate `dim` of point p of
+  /// chunk l (point l * 256 + p). The tail chunk is read from the points.
+  std::vector<double> lanes;
+  /// The whole chunks' assignment in the same order (lane_assign[p * stride
+  /// + l]), copied to point order when a run ends or a repair needs it.
+  std::vector<std::size_t> lane_assign;
+  /// Per-chunk inertia, cluster sums and counts of one pass: chunk l at
+  /// lane_inertia[l], lane_sums[(j * d + dim) * stride + l] and
+  /// lane_counts[j * stride + l]; the tail at lane_inertia[stride],
+  /// lane_sums[stride * k * d + j * d + dim], lane_counts[stride * k + j].
+  std::vector<double> lane_inertia;
+  std::vector<double> lane_sums;
+  std::vector<std::uint64_t> lane_counts;
+  Matrix sums;  ///< lane_sums merged in chunk order (k x d)
   std::vector<std::size_t> counts;
   KMeansResult candidate;  ///< losing restart, kept for buffer reuse
 };

@@ -1,6 +1,8 @@
 #include "common/kernels.hpp"
 
 #include <atomic>
+#include <bit>
+#include <cstring>
 
 // Two instances of every kernel body. The SIMD instance is compiled for
 // AVX2 via the target attribute (note: *not* "avx2,fma" — fused
@@ -14,17 +16,21 @@ namespace resmon::kern {
 namespace scalar {
 #define RESMON_KERNEL_FN
 #define RESMON_KERNEL_LOOP
+#define RESMON_KERNEL_LANES 1
 #include "common/kernels_impl.inc"  // NOLINT(bugprone-suspicious-include)
 #undef RESMON_KERNEL_FN
 #undef RESMON_KERNEL_LOOP
+#undef RESMON_KERNEL_LANES
 }  // namespace scalar
 
 namespace simd {
 #define RESMON_KERNEL_FN __attribute__((target("avx2")))
 #define RESMON_KERNEL_LOOP _Pragma("omp simd")
+#define RESMON_KERNEL_LANES kLloydLaneWidth
 #include "common/kernels_impl.inc"  // NOLINT(bugprone-suspicious-include)
 #undef RESMON_KERNEL_FN
 #undef RESMON_KERNEL_LOOP
+#undef RESMON_KERNEL_LANES
 }  // namespace simd
 
 namespace {
@@ -50,16 +56,17 @@ Path active_path() {
   return resolve(g_path.load(std::memory_order_relaxed));
 }
 
-void nearest_centroids(const double* const* xcols, std::size_t d,
-                       const double* centroids, std::size_t k,
-                       std::size_t begin, std::size_t end,
-                       std::uint32_t* best_j, double* best_d2) {
+void lloyd_lanes(const double* x, std::size_t d, std::size_t lanes,
+                 std::size_t len, const double* centroids, std::size_t k,
+                 std::size_t lane_begin, std::size_t lane_end,
+                 std::size_t* assign, double* inertia, double* sums,
+                 std::uint64_t* counts) {
   if (use_simd()) {
-    simd::nearest_centroids(xcols, d, centroids, k, begin, end, best_j,
-                            best_d2);
+    simd::lloyd_lanes(x, d, lanes, len, centroids, k, lane_begin, lane_end,
+                      assign, inertia, sums, counts);
   } else {
-    scalar::nearest_centroids(xcols, d, centroids, k, begin, end, best_j,
-                              best_d2);
+    scalar::lloyd_lanes(x, d, lanes, len, centroids, k, lane_begin, lane_end,
+                        assign, inertia, sums, counts);
   }
 }
 

@@ -1,13 +1,14 @@
 // Hot-path kernels with a runtime scalar/SIMD dispatch.
 //
 // Every kernel here exists in two compiled instances (see kernels.cpp): a
-// plain scalar build and a SIMD build (`#pragma omp simd` loops compiled
-// with AVX2 enabled). Both instances perform the *same* floating-point
-// operations on each element in the *same* order — vectorization only runs
-// independent per-point lanes side by side — so the two paths are bitwise
-// identical and both match the golden determinism traces. The
-// bit-compatibility contract is spelled out in DESIGN.md ("Memory layout &
-// SIMD kernels") and enforced by tests/test_kernels.cpp.
+// plain scalar build and a SIMD build (`#pragma omp simd` loops, and 4-wide
+// vector-extension lanes in lloyd_lanes, compiled with AVX2 enabled). Both
+// instances perform the *same* floating-point operations on each element in
+// the *same* order — vectorization only runs independent lanes (points, or
+// whole point chunks) side by side — so the two paths are bitwise identical
+// and both match the golden determinism traces. The bit-compatibility
+// contract is spelled out in DESIGN.md ("Memory layout & SIMD kernels") and
+// enforced by tests/test_kernels.cpp.
 //
 // Dispatch: kAuto resolves once per process to the SIMD instance when the
 // CPU supports AVX2, the scalar instance otherwise. Tests pin the path with
@@ -35,16 +36,31 @@ void set_path(Path path);
 /// The instance kernels currently dispatch to (never kAuto).
 Path active_path();
 
-/// Nearest centroid of each point i in [begin, end), for d-dimensional
-/// points stored dimension-major (SoA): xcols[dim][i] is coordinate `dim`
-/// of point i. `centroids` is row-major k x d. Writes best_j[i] and the
-/// squared distance best_d2[i]. Per point, distances accumulate in
-/// dimension order and candidates are scanned in centroid order with a
-/// strict `<`, exactly like the scalar argmin loop it replaces.
-void nearest_centroids(const double* const* xcols, std::size_t d,
-                       const double* centroids, std::size_t k,
-                       std::size_t begin, std::size_t end,
-                       std::uint32_t* best_j, double* best_d2);
+/// Lanes per SIMD vector of lloyd_lanes(). Lane counts (and lane ranges)
+/// that are multiples of it run entirely in vectors; leftover lanes run one
+/// at a time.
+inline constexpr std::size_t kLloydLaneWidth = 4;
+
+/// One fused Lloyd pass (assignment, inertia, per-cluster sums and counts)
+/// over `lanes` chunks of `len` points, stored chunk-interleaved:
+/// x[(p * d + dim) * lanes + l] is coordinate `dim` of point p of chunk l.
+/// `centroids` is row-major k x d. For each chunk l in [lane_begin,
+/// lane_end) — one SIMD lane per chunk, walking its points in order — it
+/// writes the nearest centroid of point p to assign[p * lanes + l] (the
+/// same interleaved order as x) and sets, each accumulated from 0.0 (or 0)
+/// in point order:
+///   inertia[l]                       sum of the squared distances,
+///   counts[j * lanes + l]            points assigned to centroid j,
+///   sums[(j * d + dim) * lanes + l]  sum of their coordinate `dim`.
+/// Distances accumulate in dimension order and centroids are scanned in
+/// index order with a strict `<`, so each chunk's results equal a per-point
+/// loop over that chunk bit for bit; with lanes == 1 it *is* that loop.
+/// Disjoint lane ranges write disjoint outputs and may run concurrently.
+void lloyd_lanes(const double* x, std::size_t d, std::size_t lanes,
+                 std::size_t len, const double* centroids, std::size_t k,
+                 std::size_t lane_begin, std::size_t lane_end,
+                 std::size_t* assign, double* inertia, double* sums,
+                 std::uint64_t* counts);
 
 /// k-means++ seeding distance pass over one new centroid `c` (length d):
 /// dist2[i] = min(dist2[i], ||x_i - c||^2) for i in [begin, end).

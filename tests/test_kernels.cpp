@@ -3,8 +3,9 @@
 // The SIMD path is required to be BIT-IDENTICAL to the scalar path — the
 // golden traces pin the scalar results, so any divergence is a correctness
 // bug, not a tolerance question. See "Memory layout & SIMD kernels" in
-// DESIGN.md for why the vectorization (one point per lane, dim-order
-// accumulation preserved) makes that guarantee possible.
+// DESIGN.md for why the vectorization (one point or one point chunk per
+// lane, dim-order and point-order accumulation preserved) makes that
+// guarantee possible.
 #include "common/kernels.hpp"
 
 #include <cmath>
@@ -46,47 +47,182 @@ Matrix random_points(std::size_t n, std::size_t d, Rng& rng) {
   return points;
 }
 
-/// Runs nearest_centroids on both paths and asserts bitwise equality.
-void check_nearest_centroids(std::size_t n, std::size_t d, std::size_t k) {
+/// Outputs of one kern::lloyd_lanes call.
+struct LloydLanesOut {
+  std::vector<std::size_t> assign;
+  std::vector<double> inertia;
+  std::vector<double> sums;
+  std::vector<std::uint64_t> counts;
+};
+
+/// Poisoned outputs: the kernel must overwrite every entry.
+LloydLanesOut poisoned_outputs(std::size_t lanes, std::size_t len,
+                               std::size_t d, std::size_t k) {
+  return {std::vector<std::size_t>(lanes * len, 99),
+          std::vector<double>(lanes, -1.0),
+          std::vector<double>(k * d * lanes, -1.0),
+          std::vector<std::uint64_t>(k * lanes, 99)};
+}
+
+/// Runs lloyd_lanes over lanes [begin, end) into `out`.
+void run_lloyd_lanes_range(const std::vector<double>& x, std::size_t d,
+                           std::size_t lanes, std::size_t len,
+                           const Matrix& centroids, std::size_t begin,
+                           std::size_t end, LloydLanesOut& out) {
+  kern::lloyd_lanes(x.data(), d, lanes, len, centroids.data().data(),
+                    centroids.rows(), begin, end, out.assign.data(),
+                    out.inertia.data(), out.sums.data(), out.counts.data());
+}
+
+LloydLanesOut run_lloyd_lanes(const std::vector<double>& x, std::size_t d,
+                              std::size_t lanes, std::size_t len,
+                              const Matrix& centroids) {
+  LloydLanesOut out = poisoned_outputs(lanes, len, d, centroids.rows());
+  run_lloyd_lanes_range(x, d, lanes, len, centroids, 0, lanes, out);
+  return out;
+}
+
+/// Runs lloyd_lanes on both paths over random chunk-interleaved points and
+/// asserts that they agree bitwise with each other and with a plain
+/// per-point loop over each chunk (strict-< argmin in centroid order,
+/// partials accumulated in point order from zero). With `grid`, points and
+/// centroids are rounded to integers, which makes exact distance ties
+/// common.
+void check_lloyd_lanes(std::size_t lanes, std::size_t len, std::size_t d,
+                       std::size_t k, bool grid = false) {
   if (!kern::simd_supported()) GTEST_SKIP() << "no AVX2 on this host";
   PathGuard guard;
-  Rng rng(17 + n + 10 * d + 100 * k);
-  const Matrix points = random_points(n, d, rng);
-  const Matrix centroids = random_points(k, d, rng);
-  SoaMatrix soa;
-  soa.assign_from(points);
+  Rng rng(17 + lanes + 10 * d + 100 * k + 1000 * len);
+  Matrix points = random_points(lanes * len, d, rng);  // chunk-major
+  Matrix centroids = random_points(k, d, rng);
+  if (grid) {
+    for (double& v : points.data()) v = std::round(2.0 * v);
+    for (double& v : centroids.data()) v = std::round(2.0 * v);
+  }
+  std::vector<double> x(lanes * len * d);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    for (std::size_t p = 0; p < len; ++p) {
+      for (std::size_t dim = 0; dim < d; ++dim) {
+        x[(p * d + dim) * lanes + l] = points(l * len + p, dim);
+      }
+    }
+  }
 
-  std::vector<std::uint32_t> j_scalar(n), j_simd(n);
-  std::vector<double> d2_scalar(n), d2_simd(n);
   kern::set_path(kern::Path::kScalar);
-  kern::nearest_centroids(soa.col_ptrs(), d, centroids.data().data(), k, 0, n,
-                          j_scalar.data(), d2_scalar.data());
+  const LloydLanesOut scalar = run_lloyd_lanes(x, d, lanes, len, centroids);
   kern::set_path(kern::Path::kSimd);
-  kern::nearest_centroids(soa.col_ptrs(), d, centroids.data().data(), k, 0, n,
-                          j_simd.data(), d2_simd.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(j_scalar[i], j_simd[i]) << "point " << i;
-    EXPECT_TRUE(bitwise_equal(d2_scalar[i], d2_simd[i])) << "point " << i;
-    EXPECT_FALSE(std::isnan(d2_scalar[i])) << "point " << i;
+  const LloydLanesOut simd = run_lloyd_lanes(x, d, lanes, len, centroids);
+
+  EXPECT_EQ(scalar.assign, simd.assign);
+  EXPECT_EQ(scalar.counts, simd.counts);
+  EXPECT_EQ(std::memcmp(scalar.inertia.data(), simd.inertia.data(),
+                        lanes * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(scalar.sums.data(), simd.sums.data(),
+                        scalar.sums.size() * sizeof(double)),
+            0);
+
+  for (std::size_t l = 0; l < lanes; ++l) {
+    double inertia = 0.0;
+    std::vector<double> sums(k * d, 0.0);
+    std::vector<std::uint64_t> counts(k, 0);
+    for (std::size_t p = 0; p < len; ++p) {
+      const std::size_t i = l * len + p;
+      std::size_t best = 0;
+      double best_d2 = 0.0;
+      for (std::size_t j = 0; j < k; ++j) {
+        double acc = 0.0;
+        for (std::size_t dim = 0; dim < d; ++dim) {
+          const double diff = points(i, dim) - centroids(j, dim);
+          acc += diff * diff;
+        }
+        if (j == 0 || acc < best_d2) {
+          best_d2 = acc;
+          best = j;
+        }
+      }
+      ASSERT_EQ(simd.assign[p * lanes + l], best)
+          << "lane " << l << " point " << p;
+      inertia += best_d2;
+      ++counts[best];
+      for (std::size_t dim = 0; dim < d; ++dim) {
+        sums[best * d + dim] += points(i, dim);
+      }
+    }
+    EXPECT_TRUE(bitwise_equal(simd.inertia[l], inertia)) << "lane " << l;
+    for (std::size_t j = 0; j < k; ++j) {
+      EXPECT_EQ(simd.counts[j * lanes + l], counts[j]) << "lane " << l;
+      for (std::size_t dim = 0; dim < d; ++dim) {
+        EXPECT_TRUE(bitwise_equal(simd.sums[(j * d + dim) * lanes + l],
+                                  sums[j * d + dim]))
+            << "lane " << l << " cluster " << j << " dim " << dim;
+      }
+    }
   }
 }
 
 TEST(Kernels, NearestCentroidsMatchesScalarBitwise) {
-  check_nearest_centroids(257, 3, 5);
+  check_lloyd_lanes(17, 15, 3, 5);
 }
 
 TEST(Kernels, NearestCentroidsScalarDimension) {
-  check_nearest_centroids(300, 1, 10);
+  check_lloyd_lanes(3, 100, 1, 10);
 }
 
 TEST(Kernels, NearestCentroidsWindowShorterThanVectorWidth) {
-  // Fewer points than any unroll/vector width: the tail path must agree.
-  for (std::size_t n = 1; n <= 7; ++n) check_nearest_centroids(n, 2, 3);
+  // Fewer lanes than any vector width: the remainder block must agree.
+  for (std::size_t lanes = 1; lanes <= 7; ++lanes) {
+    check_lloyd_lanes(lanes, 5, 2, 3);
+  }
 }
 
 TEST(Kernels, NearestCentroidsOneClusterPerPoint) {
   // K == n (every point its own cluster) exercises the densest argmin.
-  check_nearest_centroids(16, 2, 16);
+  check_lloyd_lanes(16, 1, 2, 16);
+}
+
+TEST(Kernels, LloydLanesMatchesScalarAtEveryLaneCount) {
+  // 1 lane (the tail-chunk shape), fewer lanes than a vector, one vector,
+  // four vectors, and four vectors plus a one-lane remainder; every
+  // dimension with a fixed-width instance plus the runtime-d fallback.
+  for (const std::size_t lanes : {1, 3, 4, 16, 17}) {
+    for (const std::size_t d : {1, 2, 3, 4, 5}) {
+      for (const std::size_t k : {1, 3, 10}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "lanes " << lanes << " d " << d << " k " << k);
+        check_lloyd_lanes(lanes, 37, d, k);
+      }
+    }
+  }
+}
+
+TEST(Kernels, LloydLanesTiesGoToTheLowerCentroid) {
+  for (const std::size_t d : {1, 2}) {
+    for (const std::size_t k : {3, 6}) check_lloyd_lanes(9, 40, d, k, true);
+  }
+}
+
+TEST(Kernels, LloydLanesRangesAreIndependent) {
+  // Worker pools split the lanes into ranges: two half-range calls must
+  // write exactly what one full-range call does, even where a range
+  // boundary splits a lane vector.
+  const std::size_t lanes = 35, len = 9, d = 2, k = 4;
+  Rng rng(29);
+  const Matrix centroids = random_points(k, d, rng);
+  std::vector<double> x(lanes * len * d);
+  for (double& v : x) v = rng.normal(0.0, 1.0);
+  const LloydLanesOut whole = run_lloyd_lanes(x, d, lanes, len, centroids);
+  LloydLanesOut split = poisoned_outputs(lanes, len, d, k);
+  run_lloyd_lanes_range(x, d, lanes, len, centroids, 0, 18, split);
+  run_lloyd_lanes_range(x, d, lanes, len, centroids, 18, lanes, split);
+  EXPECT_EQ(whole.assign, split.assign);
+  EXPECT_EQ(whole.counts, split.counts);
+  EXPECT_EQ(std::memcmp(whole.inertia.data(), split.inertia.data(),
+                        lanes * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(whole.sums.data(), split.sums.data(),
+                        whole.sums.size() * sizeof(double)),
+            0);
 }
 
 TEST(Kernels, MinDistanceUpdateMatchesScalarBitwise) {
