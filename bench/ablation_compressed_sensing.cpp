@@ -30,8 +30,9 @@ using namespace resmon;
 /// per resource 0 only, matching the completion experiment's scope.
 double proposed_h0(const trace::Trace& t, double b) {
   collect::FleetCollector fleet(
-      t, collect::make_policy_factory(collect::PolicyKind::kAdaptive, b,
-                                      0.5, 0.65, false));
+      t, {.kind = collect::PolicyKind::kAdaptive,
+          .max_frequency = b,
+          .v0 = 0.5});
   core::RmseAccumulator acc;
   for (std::size_t step = 0; step < t.num_steps(); ++step) {
     fleet.step(step);

@@ -27,7 +27,10 @@ struct Result {
 Result run_policy(const trace::Trace& t, collect::PolicyKind kind, double b,
                   double v0, bool clamp) {
   collect::FleetCollector fleet(
-      t, collect::make_policy_factory(kind, b, v0, 0.65, clamp));
+      t, {.kind = kind,
+          .max_frequency = b,
+          .v0 = v0,
+          .clamp_queue = clamp});
   core::RmseAccumulator acc;
   for (std::size_t step = 0; step < t.num_steps(); ++step) {
     fleet.step(step);

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
 
     auto measure = [&](collect::PolicyKind kind, double v0) {
       collect::FleetCollector fleet(
-          t, collect::make_policy_factory(kind, b, v0, 0.65, false));
+          t, {.kind = kind, .max_frequency = b, .v0 = v0});
       core::RmseAccumulator acc;
       for (std::size_t step = 0; step < t.num_steps(); ++step) {
         fleet.step(step);

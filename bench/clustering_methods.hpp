@@ -48,7 +48,7 @@ inline ClusteringSweepResult clustering_sweep(const trace::Trace& t,
   const std::size_t d = t.num_resources();
 
   collect::FleetCollector fleet(
-      t, collect::make_policy_factory(collect::PolicyKind::kAdaptive, b));
+      t, {.kind = collect::PolicyKind::kAdaptive, .max_frequency = b});
 
   std::vector<cluster::DynamicClusterTracker> trackers;
   std::vector<cluster::StaticClustering> statics;

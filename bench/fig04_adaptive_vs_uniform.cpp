@@ -27,7 +27,7 @@ std::vector<double> h0_rmse(const trace::Trace& t,
                             collect::PolicyKind kind, double b, double v0,
                             double gamma) {
   collect::FleetCollector fleet(
-      t, collect::make_policy_factory(kind, b, v0, gamma));
+      t, {.kind = kind, .max_frequency = b, .v0 = v0, .gamma = gamma});
   std::vector<core::RmseAccumulator> acc(t.num_resources());
   for (std::size_t step = 0; step < t.num_steps(); ++step) {
     fleet.step(step);

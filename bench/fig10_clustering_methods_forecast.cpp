@@ -70,8 +70,8 @@ int main(int argc, char** argv) {
     const std::size_t d = t.num_resources();
 
     collect::FleetCollector fleet(
-        t, collect::make_policy_factory(collect::PolicyKind::kAdaptive,
-                                        args.get_double("b", 0.3)));
+        t, {.kind = collect::PolicyKind::kAdaptive,
+            .max_frequency = args.get_double("b", 0.3)});
 
     std::vector<cluster::DynamicClusterTracker> dyn;
     std::vector<cluster::StaticClustering> statik;

@@ -11,11 +11,13 @@
 // N = 2000, K = 10, ARIMA configuration.
 //
 // It also measures the allocation contracts, counted by this TU's operator
-// new replacement over a steady-state window of step_external() slots
-// (between two scheduled retrains): each step must perform ZERO heap
-// allocations, and each forecast_all(h) call exactly one — the returned
-// matrix — at every horizon. See docs/PERFORMANCE.md for how to read and
-// enforce these properties.
+// new replacement over a steady-state window of slots between two
+// scheduled retrains: each step_external() must perform ZERO heap
+// allocations, each forecast_all(h) call exactly one — the returned
+// matrix — at every horizon, and each in-process step() (adaptive policy
+// through the real-codec LoopbackLink, over a window holding both slots in
+// which nodes send and slots in which none does) ZERO. See
+// docs/PERFORMANCE.md for how to read and enforce these properties.
 //
 // Flags: --nodes --steps --clusters --model --dataset --seed --threads
 // (run only {1, <threads>} instead of the default {1, 2, 4, 8} sweep);
@@ -160,6 +162,48 @@ SteadyStats measure_steady_allocs(const trace::Trace& t,
   return stats;
 }
 
+struct InprocStats {
+  std::uint64_t allocs = 0;  ///< inside step()
+  std::size_t window_steps = 0;
+  std::size_t send_slots = 0;    ///< window slots in which some node sent
+  std::size_t silent_slots = 0;  ///< window slots in which none did
+};
+
+/// Same window, in-process: step() collects through the FleetCollector and
+/// the LoopbackLink (encode, CRC, decode, channel, store) before the shared
+/// cluster/forecast path. The contract is zero allocations per step on
+/// send and silent slots alike.
+InprocStats measure_inproc_step_allocs(const trace::Trace& t,
+                                       const core::PipelineOptions& base) {
+  core::PipelineOptions o = base;
+  o.num_threads = 1;
+  o.metrics = nullptr;
+  o.trace_events = nullptr;
+  core::MonitoringPipeline p(t, o);
+  const std::size_t warm_until = o.schedule.initial_steps + 2;
+  const std::size_t window_end =
+      o.schedule.initial_steps + o.schedule.retrain_interval - 1;
+  InprocStats stats;
+  for (std::size_t s = 0; s < window_end; ++s) {
+    const std::uint64_t sent_before = p.collector().link().messages_sent();
+    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    p.step();
+    const std::uint64_t allocs =
+        g_allocs.load(std::memory_order_relaxed) - before;
+    // Forecast every slot, as the external window does.
+    for (const std::size_t h : kSteadyHorizons) (void)p.forecast_all(h);
+    if (s < warm_until) continue;
+    stats.allocs += allocs;
+    ++stats.window_steps;
+    if (p.collector().link().messages_sent() > sent_before) {
+      ++stats.send_slots;
+    } else {
+      ++stats.silent_slots;
+    }
+  }
+  return stats;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -252,15 +296,43 @@ int main(int argc, char** argv) {
             ? static_cast<double>(steady.forecast_allocs) /
                   static_cast<double>(steady.forecast_calls)
             : 0.0;
-    sink.add("steady", {{"steady_allocs_per_step", per_step},
-                        {"steady_window_steps",
-                         static_cast<double>(steady.window_steps)},
-                        {"steady_forecast_allocs_per_call", per_forecast}});
+    const InprocStats inproc = measure_inproc_step_allocs(t, base);
+    const double inproc_per_slot =
+        inproc.window_steps > 0
+            ? static_cast<double>(inproc.allocs) /
+                  static_cast<double>(inproc.window_steps)
+            : 0.0;
+    sink.add("steady",
+             {{"steady_allocs_per_step", per_step},
+              {"steady_window_steps",
+               static_cast<double>(steady.window_steps)},
+              {"steady_forecast_allocs_per_call", per_forecast},
+              {"steady_step_inproc_allocs_per_slot", inproc_per_slot},
+              {"steady_inproc_send_slots",
+               static_cast<double>(inproc.send_slots)},
+              {"steady_inproc_silent_slots",
+               static_cast<double>(inproc.silent_slots)}});
     std::cout << "\nsteady-state window: " << steady.window_steps
               << " steps, " << steady.total_allocs
               << " heap allocations (contract: 0); " << steady.forecast_calls
               << " forecast_all calls, " << steady.forecast_allocs
-              << " heap allocations (contract: 1 per call)\n";
+              << " heap allocations (contract: 1 per call)\n"
+              << "in-process step(): " << inproc.window_steps << " steps ("
+              << inproc.send_slots << " with sends, " << inproc.silent_slots
+              << " silent), " << inproc.allocs
+              << " heap allocations (contract: 0)\n";
+    if (inproc.allocs != 0) {
+      steady_ok = false;
+      std::cout << "WARNING: in-process step() allocated " << inproc.allocs
+                << " times; the zero-allocation contract is broken (see "
+                << "docs/PERFORMANCE.md)\n";
+    }
+    if (inproc.send_slots == 0 || inproc.silent_slots == 0) {
+      steady_ok = false;
+      std::cout << "WARNING: the in-process window does not span both send "
+                << "and silent slots, so its allocation count proves "
+                << "nothing about one of them\n";
+    }
     if (steady.total_allocs != 0) {
       steady_ok = false;
       std::cout << "WARNING: steady-state step path allocated "

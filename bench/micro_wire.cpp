@@ -1,6 +1,7 @@
 // Micro-benchmarks for the wire codec: encode and decode throughput of
-// measurement frames at the dimensionalities the experiments use, plus the
-// incremental decoder on a long multi-frame stream in socket-sized chunks.
+// measurement frames at the dimensionalities the experiments use, the
+// incremental decoder on a long multi-frame stream in socket-sized chunks,
+// and the frame CRC on its own.
 // Engineering hygiene, not a paper artifact.
 #include <benchmark/benchmark.h>
 
@@ -81,6 +82,24 @@ void BM_WireDecodeStream(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * frames));
 }
 BENCHMARK(BM_WireDecodeStream)->Arg(1000)->Arg(10000);
+
+// CRC-32 over one payload of the given length: 32 bytes is a d = 2
+// measurement payload, the frame the in-process link checksums twice per
+// sender; the longer ones are shard-summary sized.
+void BM_Crc32(benchmark::State& state) {
+  const std::size_t len = static_cast<std::size_t>(state.range(0));
+  Rng rng(4);
+  std::vector<std::uint8_t> bytes(len);
+  for (std::uint8_t& b : bytes) {
+    b = static_cast<std::uint8_t>(rng.index(256));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net::wire::crc32(bytes));
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations() * len));
+}
+BENCHMARK(BM_Crc32)->Arg(32)->Arg(1024)->Arg(65536);
 
 /// Console output as usual, plus every iteration row captured for the
 /// persistent BENCH_micro.json sink.

@@ -30,7 +30,7 @@ std::vector<double> centroid_series(const std::string& dataset,
   const trace::InMemoryTrace t = trace::generate(profile, 1);
 
   collect::FleetCollector fleet(
-      t, collect::make_policy_factory(collect::PolicyKind::kAdaptive, 0.3));
+      t, {.kind = collect::PolicyKind::kAdaptive, .max_frequency = 0.3});
   cluster::DynamicClusterTracker tracker({.k = 3}, 1);
   for (std::size_t step = 0; step < steps; ++step) {
     fleet.step(step);

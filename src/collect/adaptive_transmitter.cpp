@@ -1,86 +1,54 @@
 #include "collect/adaptive_transmitter.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "common/error.hpp"
-#include "common/matrix.hpp"
-
 namespace resmon::collect {
 
 AdaptiveTransmitter::AdaptiveTransmitter(const AdaptiveOptions& options)
     : options_(options) {
-  RESMON_REQUIRE(options.max_frequency > 0.0 && options.max_frequency <= 1.0,
-                 "B must be in (0,1]");
-  RESMON_REQUIRE(options.v0 > 0.0, "V0 must be positive");
-  RESMON_REQUIRE(options.gamma > 0.0 && options.gamma < 1.0,
-                 "gamma must be in (0,1)");
+  validate(options_);
   if (options_.metrics != nullptr) {
-    queue_hist_ = &options_.metrics->histogram(
-        "resmon_collect_queue_length",
-        "Virtual-queue backlog Q_i(t) after each decision, eq. (9)",
-        {-4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0});
-    options_.metrics
-        ->gauge("resmon_collect_budget_b",
-                "Configured long-run transmission frequency cap B")
-        .set(options_.max_frequency);
+    queue_hist_ = &queue_length_histogram(*options_.metrics);
+    budget_gauge(*options_.metrics).set(options_.max_frequency);
   }
 }
 
 bool AdaptiveTransmitter::decide(std::size_t t, std::span<const double> x) {
   RESMON_REQUIRE(!x.empty(), "measurement must be non-empty");
+  const bool first = transmissions_ == 0;
+  if (first) last_sent_.resize(x.size());
+  RESMON_REQUIRE(x.size() == last_sent_.size(),
+                 "measurement dimension changed between decisions");
   ++decisions_;
-
-  bool transmit;
-  if (last_sent_.empty()) {
-    // Nothing stored at the central node yet: F(0) is effectively infinite,
-    // so the first measurement is always sent.
-    last_penalty_ = 0.0;
-    transmit = true;
-  } else {
-    // F_{i,t}(0) of eq. (6): mean squared deviation between the current
-    // measurement and what the central node still holds.
-    const double penalty =
-        squared_distance(x, last_sent_) / static_cast<double>(x.size());
-    last_penalty_ = penalty;
-    // V_t of eq. (8). `t` is 0-based here; the paper indexes slots from 1,
-    // so paper-t = t + 1 and V_t = V0 * (paper-t + 1)^gamma.
-    const double v_t =
-        options_.v0 * std::pow(static_cast<double>(t) + 2.0, options_.gamma);
-    // Minimizing eq. (7) over beta in {0,1}:
-    //   cost(1) = Q * (1 - B),   cost(0) = V_t * F - Q * B
-    // => transmit iff Q < V_t * F.
-    transmit = queue_ < v_t * penalty;
-  }
-
-  const double y = (transmit ? 1.0 : 0.0) - options_.max_frequency;
-  queue_ += y;  // eq. (9)
-  if (options_.clamp_queue) queue_ = std::max(queue_, 0.0);
+  const bool transmit =
+      adaptive_decide(options_, adaptive_weight(options_, t), x, first,
+                      last_sent_, queue_, last_penalty_);
   if (queue_hist_ != nullptr) queue_hist_->observe(queue_);
-
-  if (transmit) {
-    last_sent_.assign(x.begin(), x.end());
-    ++transmissions_;
-  }
+  if (transmit) ++transmissions_;
   return transmit;
+}
+
+obs::Histogram& queue_length_histogram(obs::MetricsRegistry& metrics) {
+  return metrics.histogram(
+      "resmon_collect_queue_length",
+      "Virtual-queue backlog Q_i(t) after each decision, eq. (9)",
+      {-4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0});
+}
+
+obs::Gauge& budget_gauge(obs::MetricsRegistry& metrics) {
+  return metrics.gauge("resmon_collect_budget_b",
+                       "Configured long-run transmission frequency cap B");
 }
 
 UniformTransmitter::UniformTransmitter(double max_frequency)
     : max_frequency_(max_frequency), credit_(1.0) {
-  RESMON_REQUIRE(max_frequency > 0.0 && max_frequency <= 1.0,
-                 "B must be in (0,1]");
+  validate_budget(max_frequency);
 }
 
 bool UniformTransmitter::decide(std::size_t /*t*/,
                                 std::span<const double> /*x*/) {
   ++decisions_;
-  credit_ += max_frequency_;
-  if (credit_ >= 1.0) {
-    credit_ -= 1.0;
-    ++transmissions_;
-    return true;
-  }
-  return false;
+  const bool transmit = uniform_decide(max_frequency_, credit_);
+  if (transmit) ++transmissions_;
+  return transmit;
 }
 
 }  // namespace resmon::collect

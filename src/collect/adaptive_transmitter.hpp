@@ -11,9 +11,20 @@
 //   F_{i,t}(0) = (1/d) || z_{i,t} - x_{i,t} ||^2,  F_{i,t}(1) = 0 (eq. 6)
 //
 // which reduces to: transmit iff Q_i(t) < V_t * F_{i,t}(0).
+//
+// The rule is written once, as the inline steps below over one node's plain
+// state; AdaptiveTransmitter runs them for a single node and
+// FleetCollector's fleet pass runs them over flat per-node arrays, so both
+// make the same decisions bit for bit.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <span>
+
 #include "collect/transmit_policy.hpp"
+#include "common/error.hpp"
+#include "common/matrix.hpp"
 #include "obs/metrics.hpp"
 
 namespace resmon::collect {
@@ -39,6 +50,75 @@ struct AdaptiveOptions {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
+/// Rejects a frequency budget B outside (0,1].
+inline void validate_budget(double max_frequency) {
+  RESMON_REQUIRE(max_frequency > 0.0 && max_frequency <= 1.0,
+                 "B must be in (0,1]");
+}
+
+/// Rejects options outside the rule's domain (B in (0,1], V0 > 0,
+/// gamma in (0,1)).
+inline void validate(const AdaptiveOptions& options) {
+  validate_budget(options.max_frequency);
+  RESMON_REQUIRE(options.v0 > 0.0, "V0 must be positive");
+  RESMON_REQUIRE(options.gamma > 0.0 && options.gamma < 1.0,
+                 "gamma must be in (0,1)");
+}
+
+/// V_t of eq. (8), the same for every node of a slot. `t` is 0-based here;
+/// the paper indexes slots from 1, so paper-t = t + 1 and
+/// V_t = V0 * (paper-t + 1)^gamma.
+inline double adaptive_weight(const AdaptiveOptions& options, std::size_t t) {
+  return options.v0 *
+         std::pow(static_cast<double>(t) + 2.0, options.gamma);
+}
+
+/// One node's decision for measurement `x` under weight `v_t`. `queue` is
+/// Q_i(t) and `last_sent` z_{i,t} (x.size() values, unread while `first`:
+/// nothing has been sent yet); both are updated. Returns beta and leaves
+/// F_{i,t}(0) in `penalty`.
+inline bool adaptive_decide(const AdaptiveOptions& options, double v_t,
+                            std::span<const double> x, bool first,
+                            std::span<double> last_sent, double& queue,
+                            double& penalty) {
+  bool transmit;
+  if (first) {
+    // Nothing stored at the central node yet: F(0) is effectively infinite,
+    // so the first measurement is always sent.
+    penalty = 0.0;
+    transmit = true;
+  } else {
+    // F_{i,t}(0) of eq. (6): mean squared deviation between the current
+    // measurement and what the central node still holds.
+    penalty = squared_distance(x, last_sent) / static_cast<double>(x.size());
+    // Minimizing eq. (7) over beta in {0,1}:
+    //   cost(1) = Q * (1 - B),   cost(0) = V_t * F - Q * B
+    // => transmit iff Q < V_t * F.
+    transmit = queue < v_t * penalty;
+  }
+  queue += (transmit ? 1.0 : 0.0) - options.max_frequency;  // eq. (9)
+  if (options.clamp_queue) queue = std::max(queue, 0.0);
+  if (transmit) std::copy(x.begin(), x.end(), last_sent.begin());
+  return transmit;
+}
+
+/// One node's fixed-interval decision (UniformTransmitter): `credit`
+/// starts at 1.0 and gains B per slot; a transmission spends 1.
+inline bool uniform_decide(double max_frequency, double& credit) {
+  credit += max_frequency;
+  if (credit >= 1.0) {
+    credit -= 1.0;
+    return true;
+  }
+  return false;
+}
+
+/// The adaptive series in `metrics`, shared by every adaptive transmitter
+/// and fleet that registers them: resmon_collect_queue_length (Q_i(t)
+/// after each decision) and resmon_collect_budget_b (B).
+obs::Histogram& queue_length_histogram(obs::MetricsRegistry& metrics);
+obs::Gauge& budget_gauge(obs::MetricsRegistry& metrics);
+
 /// Drift-plus-penalty transmission policy for a single node.
 class AdaptiveTransmitter final : public TransmitPolicy {
  public:
@@ -61,7 +141,7 @@ class AdaptiveTransmitter final : public TransmitPolicy {
   AdaptiveOptions options_;
   double queue_ = 0.0;
   double last_penalty_ = 0.0;
-  std::vector<double> last_sent_;  // z_{i,t}; empty until first transmission
+  std::vector<double> last_sent_;  // z_{i,t}; sized by the first decide()
   std::uint64_t transmissions_ = 0;
   std::uint64_t decisions_ = 0;
   obs::Histogram* queue_hist_ = nullptr;  // backlog Q_i(t) after each decide

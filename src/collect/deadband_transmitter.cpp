@@ -1,57 +1,22 @@
 #include "collect/deadband_transmitter.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "common/error.hpp"
-#include "common/matrix.hpp"
-
 namespace resmon::collect {
 
 DeadbandTransmitter::DeadbandTransmitter(const DeadbandOptions& options)
     : options_(options), delta_(options.delta) {
-  RESMON_REQUIRE(options.delta > 0.0, "deadband delta must be positive");
-  RESMON_REQUIRE(options.target_frequency <= 1.0,
-                 "target frequency must be <= 1");
-  RESMON_REQUIRE(options.adaptation_rate >= 0.0 &&
-                     options.adaptation_rate < 1.0,
-                 "adaptation rate must be in [0,1)");
-  RESMON_REQUIRE(options.min_delta > 0.0 &&
-                     options.min_delta <= options.max_delta,
-                 "invalid delta bounds");
+  validate(options_);
 }
 
 bool DeadbandTransmitter::decide(std::size_t /*t*/,
                                  std::span<const double> x) {
   RESMON_REQUIRE(!x.empty(), "measurement must be non-empty");
+  const bool first = transmissions_ == 0;
+  if (first) last_sent_.resize(x.size());
+  RESMON_REQUIRE(x.size() == last_sent_.size(),
+                 "measurement dimension changed between decisions");
   ++decisions_;
-
-  bool transmit;
-  if (last_sent_.empty()) {
-    transmit = true;  // central node has nothing yet
-  } else {
-    const double rms_deviation =
-        std::sqrt(squared_distance(x, last_sent_) /
-                  static_cast<double>(x.size()));
-    transmit = rms_deviation > delta_;
-  }
-
-  // Calibration: nudge the threshold so the long-run transmit fraction
-  // approaches the target B.
-  const double b = options_.target_frequency;
-  if (b > 0.0) {
-    if (transmit) {
-      delta_ *= 1.0 + options_.adaptation_rate * (1.0 - b);
-    } else {
-      delta_ *= 1.0 - options_.adaptation_rate * b;
-    }
-    delta_ = std::clamp(delta_, options_.min_delta, options_.max_delta);
-  }
-
-  if (transmit) {
-    last_sent_.assign(x.begin(), x.end());
-    ++transmissions_;
-  }
+  const bool transmit = deadband_decide(options_, x, first, last_sent_, delta_);
+  if (transmit) ++transmissions_;
   return transmit;
 }
 

@@ -2,18 +2,9 @@
 
 #include <algorithm>
 
-#include "collect/adaptive_transmitter.hpp"
-#include "collect/deadband_transmitter.hpp"
-#include "common/thread_pool.hpp"
-
 namespace resmon::collect {
 
 namespace {
-
-/// Chunk grain of the parallel per-node policy loop. Policy decisions write
-/// disjoint per-node state, so the grain only balances task overhead against
-/// load spread; it does not affect results.
-constexpr std::size_t kNodeGrain = 64;
 
 /// Trivial policy that transmits every step; used as the B = 1 reference.
 class AlwaysTransmitter final : public TransmitPolicy {
@@ -31,10 +22,6 @@ class AlwaysTransmitter final : public TransmitPolicy {
   std::uint64_t transmissions_ = 0;
   std::uint64_t decisions_ = 0;
 };
-
-}  // namespace
-
-namespace {
 
 std::vector<std::unique_ptr<MeasurementSource>> sources_over_trace(
     const trace::Trace& trace) {
@@ -63,34 +50,51 @@ std::vector<std::unique_ptr<MeasurementSource>> validate_sources(
 }  // namespace
 
 FleetCollector::FleetCollector(
-    const trace::Trace& trace,
-    const std::function<std::unique_ptr<TransmitPolicy>()>& make_policy,
-    const transport::ChannelOptions& channel_options, ThreadPool* pool,
+    const trace::Trace& trace, const PolicySpec& policy,
+    const transport::ChannelOptions& channel_options,
     std::unique_ptr<transport::Link> link, obs::MetricsRegistry* metrics)
-    : FleetCollector(sources_over_trace(trace), make_policy, channel_options,
-                     pool, std::move(link), metrics) {}
+    : FleetCollector(sources_over_trace(trace), policy, channel_options,
+                     std::move(link), metrics) {}
 
 FleetCollector::FleetCollector(
     std::vector<std::unique_ptr<MeasurementSource>> sources,
-    const std::function<std::unique_ptr<TransmitPolicy>()>& make_policy,
-    const transport::ChannelOptions& channel_options, ThreadPool* pool,
+    const PolicySpec& policy,
+    const transport::ChannelOptions& channel_options,
     std::unique_ptr<transport::Link> link, obs::MetricsRegistry* metrics)
     : sources_(validate_sources(std::move(sources))),
+      dims_(sources_.front()->num_resources()),
+      policy_(policy),
+      adaptive_{.max_frequency = policy.max_frequency,
+                .v0 = policy.v0,
+                .gamma = policy.gamma,
+                .clamp_queue = policy.clamp_queue},
+      deadband_{.target_frequency = policy.max_frequency},
       link_(link != nullptr
                 ? std::move(link)
                 : std::make_unique<transport::Channel>(channel_options)),
-      store_(sources_.size(), sources_.front()->num_resources()),
-      pool_(pool) {
+      store_(sources_.size(), dims_) {
+  switch (policy_.kind) {
+    case PolicyKind::kAdaptive: validate(adaptive_); break;
+    case PolicyKind::kUniform: validate_budget(policy_.max_frequency); break;
+    case PolicyKind::kAlways: break;
+    case PolicyKind::kDeadband: validate(deadband_); break;
+  }
   num_steps_ = MeasurementSource::unbounded();
   for (const auto& source : sources_) {
     num_steps_ = std::min(num_steps_, source->num_steps());
   }
-  policies_.reserve(sources_.size());
-  for (std::size_t i = 0; i < sources_.size(); ++i) {
-    policies_.push_back(make_policy());
-    RESMON_REQUIRE(policies_.back() != nullptr,
-                   "policy factory returned nullptr");
-  }
+  const std::size_t n = sources_.size();
+  block_.resize(n * dims_);
+  beta_.resize(n);
+  outgoing_.values.reserve(dims_);
+  // Initial per-node state of each rule (see policy_state()).
+  const double initial_state = policy_.kind == PolicyKind::kUniform ? 1.0
+                               : policy_.kind == PolicyKind::kDeadband
+                                   ? deadband_.delta
+                                   : 0.0;
+  state_.assign(n, initial_state);
+  last_sent_.resize(n * dims_);
+  transmissions_.resize(n);
   if (metrics != nullptr) {
     decisions_total_ = &metrics->counter(
         "resmon_collect_decisions_total",
@@ -104,61 +108,111 @@ FleetCollector::FleetCollector(
     store_complete_ = &metrics->gauge(
         "resmon_collect_store_complete",
         "1 once the central store has heard from every node, else 0");
+    if (policy_.kind == PolicyKind::kAdaptive) {
+      queue_hist_ = &queue_length_histogram(*metrics);
+      queue_buckets_.resize(queue_hist_->bounds().size() + 1);
+      budget_gauge(*metrics).set(policy_.max_frequency);
+    }
   }
 }
 
-std::vector<bool> FleetCollector::step(std::size_t t) {
+std::span<const std::uint8_t> FleetCollector::step(std::size_t t) {
   RESMON_REQUIRE(t == next_step_,
                  "FleetCollector::step must be called with consecutive t");
   RESMON_REQUIRE(t < num_steps_, "step beyond end of the shortest source");
   ++next_step_;
 
-  // Every node's policy decision is independent, so the decide() calls run
-  // in parallel; per-node results land in disjoint slots (std::vector<bool>
-  // packs bits, hence the byte-wide scratch vector). The link sends then
-  // happen on this thread in node order, so bandwidth accounting and the
-  // link's drop/delay RNG draws are identical to the serial path. A fleet
-  // holding any unbounded (live-sampling) source stays serial: such sources
-  // pace themselves on the wall clock inside measurement().
-  const std::size_t n = policies_.size();
-  std::vector<std::uint8_t> transmit(n, 0);
-  std::vector<std::vector<double>> measurements(n);
-  ThreadPool* pool =
-      num_steps_ == MeasurementSource::unbounded() ? nullptr : pool_;
-  run_chunked(pool, n, kNodeGrain,
-              [&](std::size_t, std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i) {
-                  measurements[i] = sources_[i]->measurement(t);
-                  if (policies_[i]->decide(t, measurements[i])) {
-                    transmit[i] = 1;
-                  }
-                }
-              });
-
-  std::vector<bool> beta(n, false);
+  const std::size_t n = num_nodes();
   for (std::size_t i = 0; i < n; ++i) {
-    if (transmit[i] == 0) continue;
-    beta[i] = true;
-    link_->send(
-        {.node = i, .step = t, .values = std::move(measurements[i])});
+    sources_[i]->measurement_into(t, {block_.data() + i * dims_, dims_});
   }
-  for (const transport::MeasurementMessage& msg : link_->drain()) {
+  const std::size_t sends = decide(t);
+
+  // Sends happen in node order, so bandwidth accounting and the link's
+  // drop/delay RNG draws follow node order too.
+  outgoing_.step = t;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (beta_[i] == 0) continue;
+    const double* x = block_.data() + i * dims_;
+    outgoing_.node = i;
+    outgoing_.values.assign(x, x + dims_);
+    link_->send(outgoing_);
+  }
+  for (const transport::MeasurementMessage& msg : link_->drain_into(inbox_)) {
     store_.apply(msg);
   }
   if (decisions_total_ != nullptr) {
     decisions_total_->inc(n);
-    sends_total_->inc(static_cast<std::uint64_t>(
-        std::count(beta.begin(), beta.end(), true)));
+    sends_total_->inc(sends);
     link_bytes_->set(static_cast<double>(link_->bytes_sent()));
     store_complete_->set(store_.complete() ? 1.0 : 0.0);
   }
-  return beta;
+  return beta_;
+}
+
+std::size_t FleetCollector::decide(std::size_t t) {
+  const std::size_t n = num_nodes();
+  const std::size_t d = dims_;
+  const auto x = [&](std::size_t i) {
+    return std::span<const double>(block_.data() + i * d, d);
+  };
+  const auto z = [&](std::size_t i) {
+    return std::span<double>(last_sent_.data() + i * d, d);
+  };
+  switch (policy_.kind) {
+    case PolicyKind::kAdaptive: {
+      const double v_t = adaptive_weight(adaptive_, t);
+      double penalty = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        beta_[i] = adaptive_decide(adaptive_, v_t, x(i),
+                                   transmissions_[i] == 0, z(i), state_[i],
+                                   penalty);
+      }
+      break;
+    }
+    case PolicyKind::kUniform:
+      for (std::size_t i = 0; i < n; ++i) {
+        beta_[i] = uniform_decide(policy_.max_frequency, state_[i]);
+      }
+      break;
+    case PolicyKind::kAlways:
+      std::fill(beta_.begin(), beta_.end(), 1);
+      break;
+    case PolicyKind::kDeadband:
+      for (std::size_t i = 0; i < n; ++i) {
+        beta_[i] = deadband_decide(deadband_, x(i), transmissions_[i] == 0,
+                                   z(i), state_[i]);
+      }
+      break;
+  }
+  std::size_t sends = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    transmissions_[i] += beta_[i];
+    sends += beta_[i];
+  }
+  if (queue_hist_ != nullptr) {
+    // One batch per slot: bucket locally with the histogram's own rule.
+    double sum = 0.0;
+    for (const double q : state_) {
+      ++queue_buckets_[queue_hist_->bucket_index(q)];
+      sum += q;
+    }
+    queue_hist_->observe_counts(queue_buckets_, sum);
+    std::fill(queue_buckets_.begin(), queue_buckets_.end(), 0);
+  }
+  return sends;
 }
 
 double FleetCollector::average_actual_frequency() const {
+  // Every node decides once per step, so each node's actual frequency is
+  // its transmissions over the steps taken.
   double s = 0.0;
-  for (const auto& p : policies_) s += p->actual_frequency();
-  return s / static_cast<double>(policies_.size());
+  for (const std::uint64_t tx : transmissions_) {
+    s += next_step_ == 0 ? 0.0
+                         : static_cast<double>(tx) /
+                               static_cast<double>(next_step_);
+  }
+  return s / static_cast<double>(transmissions_.size());
 }
 
 std::function<std::unique_ptr<TransmitPolicy>()> make_policy_factory(

@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -19,23 +20,32 @@
 
 namespace resmon::collect {
 
-/// One node's measurement stream. measurement(t) must be called with
-/// consecutive t starting at 0; sources that sample live state are allowed
-/// to block (pacing themselves to a wall-clock interval) and to mutate
-/// internal counters, hence non-const.
+/// One node's measurement stream. measurement_into(t, ...) must be called
+/// with consecutive t starting at 0; sources that sample live state are
+/// allowed to block (pacing themselves to a wall-clock interval) and to
+/// mutate internal counters, hence non-const.
 class MeasurementSource {
  public:
   virtual ~MeasurementSource() = default;
 
-  /// Dimension d of every vector measurement() returns.
+  /// Dimension d of every measurement.
   virtual std::size_t num_resources() const = 0;
 
   /// Number of slots this source can serve, or unbounded() for sources
   /// that can sample forever (live procfs).
   virtual std::size_t num_steps() const { return unbounded(); }
 
-  /// The node's d-dimensional measurement x_{i,t} for slot t.
-  virtual std::vector<double> measurement(std::size_t t) = 0;
+  /// Write the node's d-dimensional measurement x_{i,t} for slot t into
+  /// `out` (exactly num_resources() values) — FleetCollector passes the
+  /// node's row of its slot block.
+  virtual void measurement_into(std::size_t t, std::span<double> out) = 0;
+
+  /// measurement_into() a fresh vector: the allocating convenience form.
+  std::vector<double> measurement(std::size_t t) {
+    std::vector<double> x(num_resources());
+    measurement_into(t, x);
+    return x;
+  }
 
   static constexpr std::size_t unbounded() {
     return std::numeric_limits<std::size_t>::max();
@@ -55,8 +65,10 @@ class TraceSource final : public MeasurementSource {
     return trace_.num_resources();
   }
   std::size_t num_steps() const override { return trace_.num_steps(); }
-  std::vector<double> measurement(std::size_t t) override {
-    return trace_.measurement(node_, t);
+  void measurement_into(std::size_t t, std::span<double> out) override {
+    for (std::size_t r = 0; r < out.size(); ++r) {
+      out[r] = trace_.value(node_, t, r);
+    }
   }
 
  private:

@@ -3,11 +3,29 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <string>
 
 #include "faultnet/faulty_link.hpp"
 #include "net/loopback.hpp"
 
 namespace resmon::core {
+
+namespace {
+
+/// Metrics label of view v's model for cluster j, dimension dim:
+/// "v<v>.c<j>.d<dim>". Built with append(): GCC 12 at -O3 raises a
+/// -Wrestrict false positive inside a chain of std::string operator+.
+std::string model_label(std::size_t v, std::size_t j, std::size_t dim) {
+  std::string label = "v";
+  label.append(std::to_string(v));
+  label.append(".c");
+  label.append(std::to_string(j));
+  label.append(".d");
+  label.append(std::to_string(dim));
+  return label;
+}
+
+}  // namespace
 
 MonitoringPipeline::MonitoringPipeline(const trace::Trace& trace,
                                        const PipelineOptions& options)
@@ -81,10 +99,12 @@ MonitoringPipeline::MonitoringPipeline(const trace::Trace& trace,
     }
     collector_ = std::make_unique<collect::FleetCollector>(
         trace,
-        collect::make_policy_factory(options.policy, options.max_frequency,
-                                     options.v0, options.gamma,
-                                     options.clamp_queue, registry_),
-        options_.channel, pool_.get(), std::move(link), registry_);
+        collect::PolicySpec{.kind = options.policy,
+                            .max_frequency = options.max_frequency,
+                            .v0 = options.v0,
+                            .gamma = options.gamma,
+                            .clamp_queue = options.clamp_queue},
+        options_.channel, std::move(link), registry_);
   }
 
   const std::size_t views =
@@ -125,9 +145,7 @@ MonitoringPipeline::MonitoringPipeline(const trace::Trace& trace,
             forecast::make_forecaster(
                 options.forecaster,
                 options.seed + 7919 * (v + 1) + 31 * j + dim),
-            options.schedule, registry_,
-            "v" + std::to_string(v) + ".c" + std::to_string(j) + ".d" +
-                std::to_string(dim)));
+            options.schedule, registry_, model_label(v, j, dim)));
       }
     }
   }

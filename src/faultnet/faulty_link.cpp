@@ -1,5 +1,6 @@
 #include "faultnet/faulty_link.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/error.hpp"
@@ -29,7 +30,7 @@ FaultyLink::FaultyLink(const FaultSpec& spec,
   }
 }
 
-void FaultyLink::send(transport::MeasurementMessage message) {
+void FaultyLink::send(const transport::MeasurementMessage& message) {
   ++messages_sent_;
   bytes_sent_ += message.wire_size();
   const FaultDecision d = injector_.decide(message.node, message.step);
@@ -46,7 +47,7 @@ void FaultyLink::send(transport::MeasurementMessage message) {
     for (const SlotWindow& w : injector_.spec().stalls) {
       if (w.contains(message.step)) release = std::max(release, w.to + 1);
     }
-    held_.push_back({std::move(message), release});
+    hold(message, release);
     return;
   }
   if (d.drop) {
@@ -62,30 +63,34 @@ void FaultyLink::send(transport::MeasurementMessage message) {
   }
   if (d.delay_slots > 0) {
     injector_.count(FaultKind::kDelay);
-    const std::size_t release = message.step + d.delay_slots;
-    held_.push_back({std::move(message), release});
+    hold(message, message.step + d.delay_slots);
     return;
   }
   if (d.duplicate) {
     injector_.count(FaultKind::kDuplicate);
     inner_->send(message);
   }
-  inner_->send(std::move(message));
+  inner_->send(message);
 }
 
-std::vector<transport::MeasurementMessage> FaultyLink::drain() {
-  // drain() is the slot clock: the pipeline drains exactly once per step,
-  // so drain index == current slot (matching transport::Channel).
+std::span<transport::MeasurementMessage> FaultyLink::drain_into(
+    std::vector<transport::MeasurementMessage>& out) {
+  // drain_into() is the slot clock: the pipeline drains exactly once per
+  // step, so drain index == current slot (matching transport::Channel).
+  // Due messages go to the inner link in hold order; the rest keep theirs.
   const std::size_t now = drain_count_++;
-  for (std::size_t i = 0; i < held_.size();) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < num_held_; ++i) {
     if (held_[i].release_at <= now) {
-      inner_->send(std::move(held_[i].message));
-      held_.erase(held_.begin() + static_cast<std::ptrdiff_t>(i));
+      inner_->send(held_[i].message);
     } else {
-      ++i;
+      if (kept != i) std::swap(held_[kept], held_[i]);
+      ++kept;
     }
   }
-  std::vector<transport::MeasurementMessage> batch = inner_->drain();
+  num_held_ = kept;
+  const std::span<transport::MeasurementMessage> batch =
+      inner_->drain_into(out);
   if (batch.size() > 1 && injector_.reorder_batch(0, now)) {
     injector_.count(FaultKind::kReorder);
     // Deterministic Fisher-Yates keyed on (batch index, position). Safe for
@@ -98,6 +103,14 @@ std::vector<transport::MeasurementMessage> FaultyLink::drain() {
     }
   }
   return batch;
+}
+
+void FaultyLink::hold(const transport::MeasurementMessage& message,
+                      std::size_t release_at) {
+  if (num_held_ == held_.size()) held_.emplace_back();
+  Held& entry = held_[num_held_++];
+  entry.message = message;  // reuses the recycled entry's value storage
+  entry.release_at = release_at;
 }
 
 void FaultyLink::corrupt_and_reject(

@@ -15,14 +15,16 @@
 //   partition   messages inside the window are lost
 //   reorder     a delivered batch is deterministically shuffled
 //
-// drain() is the slot clock (the pipeline drains once per step), matching
-// transport::Channel's delay semantics. All decisions come from the
+// drain_into() is the slot clock (the pipeline drains once per step),
+// matching transport::Channel's delay semantics; held messages live in
+// recycled entries, so a warm link allocates nothing per message. All decisions come from the
 // order-independent FaultInjector, so a seeded spec yields one exact fault
 // realization per run.
 #pragma once
 
-#include <deque>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "faultnet/injector.hpp"
 #include "obs/metrics.hpp"
@@ -39,11 +41,12 @@ class FaultyLink final : public transport::Link {
   FaultyLink(const FaultSpec& spec, std::unique_ptr<transport::Link> inner,
              obs::MetricsRegistry* metrics = nullptr);
 
-  void send(transport::MeasurementMessage message) override;
-  std::vector<transport::MeasurementMessage> drain() override;
+  void send(const transport::MeasurementMessage& message) override;
+  std::span<transport::MeasurementMessage> drain_into(
+      std::vector<transport::MeasurementMessage>& out) override;
 
   std::size_t pending() const override {
-    return inner_->pending() + held_.size();
+    return inner_->pending() + num_held_;
   }
   /// Sender-side accounting: every send() counts (faulted sends included —
   /// the sender paid for the transmission), mirroring transport::Channel.
@@ -66,12 +69,19 @@ class FaultyLink final : public transport::Link {
     std::size_t release_at = 0;  ///< drain index at which it surfaces
   };
 
+  /// Keep a copy of `message` until the drain with index `release_at`.
+  void hold(const transport::MeasurementMessage& message,
+            std::size_t release_at);
+
   /// Encode, flip one payload byte, and require the decoder to reject it.
   void corrupt_and_reject(const transport::MeasurementMessage& message);
 
   FaultInjector injector_;
   std::unique_ptr<transport::Link> inner_;
-  std::deque<Held> held_;
+  /// Held messages are held_[0, num_held_) in hold order; entries past it
+  /// keep their value storage for the next hold().
+  std::vector<Held> held_;
+  std::size_t num_held_ = 0;
   std::size_t drain_count_ = 0;
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;

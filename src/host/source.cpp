@@ -1,5 +1,7 @@
 #include "host/source.hpp"
 
+#include <algorithm>
+
 #include "host/clock.hpp"
 
 namespace resmon::host {
@@ -12,7 +14,8 @@ ProcfsSamplerSource::ProcfsSamplerSource(HostSampler& sampler,
   if (!options_.sleep_ms) options_.sleep_ms = sleep_ms;
 }
 
-std::vector<double> ProcfsSamplerSource::measurement(std::size_t t) {
+void ProcfsSamplerSource::measurement_into(std::size_t t,
+                                           std::span<double> out) {
   if (started_) {
     // Pace against the first sample's timestamp, not the previous slot's,
     // so per-slot jitter doesn't accumulate into drift.
@@ -26,11 +29,14 @@ std::vector<double> ProcfsSamplerSource::measurement(std::size_t t) {
     started_ = true;
     first_sample_ms_ = start;
   }
-  std::vector<double> x = sampler_.sample(start);
+  const std::vector<double> x = sampler_.sample(start);
   sampler_.observe_latency_ms(
       static_cast<double>(options_.now_ms() - start));
   if (options_.recorder != nullptr) options_.recorder->append(x, start);
-  return x;
+  RESMON_REQUIRE(x.size() == out.size(),
+                 "ProcfsSamplerSource: sample width differs from "
+                 "num_resources");
+  std::copy(x.begin(), x.end(), out.begin());
 }
 
 }  // namespace resmon::host

@@ -13,8 +13,10 @@
 // deterministic.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <utility>
 
 #include "collect/measurement_source.hpp"
@@ -41,7 +43,7 @@ class ProcfsSamplerSource final : public collect::MeasurementSource {
     return HostSampler::kNumResources;
   }
   /// Samples the host, pacing slot t to start_time + t * interval_ms.
-  std::vector<double> measurement(std::size_t t) override;
+  void measurement_into(std::size_t t, std::span<double> out) override;
 
  private:
   HostSampler& sampler_;
@@ -63,10 +65,13 @@ class ReplaySource final : public collect::MeasurementSource {
     return recording_.num_resources();
   }
   std::size_t num_steps() const override { return recording_.rows.size(); }
-  std::vector<double> measurement(std::size_t t) override {
+  void measurement_into(std::size_t t, std::span<double> out) override {
     RESMON_REQUIRE(t < recording_.rows.size(),
                    "ReplaySource: step beyond the end of the recording");
-    return recording_.rows[t];
+    const std::vector<double>& row = recording_.rows[t];
+    RESMON_REQUIRE(row.size() == out.size(),
+                   "ReplaySource: row width differs from num_resources");
+    std::copy(row.begin(), row.end(), out.begin());
   }
 
   const Recording& recording() const { return recording_; }

@@ -6,7 +6,9 @@
 // uses, and bandwidth accounting counts real frame bytes, while keeping the
 // Channel's seeded drop/delay failure injection. Because encode -> decode
 // is an identity, a LoopbackLink behaves bit-identically to a bare Channel
-// with the same options.
+// with the same options. The frame buffer, the decoder's byte buffer and
+// the decoded message are reused across sends, so a warm link allocates
+// nothing per message.
 #pragma once
 
 #include "net/wire.hpp"
@@ -25,10 +27,11 @@ class LoopbackLink final : public transport::Link {
   /// Throws InvalidState if the codec ever fails to round-trip (that is a
   /// bug, not an input condition: this link sees only locally built
   /// messages).
-  void send(transport::MeasurementMessage message) override;
+  void send(const transport::MeasurementMessage& message) override;
 
-  std::vector<transport::MeasurementMessage> drain() override {
-    return channel_.drain();
+  std::span<transport::MeasurementMessage> drain_into(
+      std::vector<transport::MeasurementMessage>& out) override {
+    return channel_.drain_into(out);
   }
 
   std::size_t pending() const override { return channel_.pending(); }
@@ -45,7 +48,9 @@ class LoopbackLink final : public transport::Link {
 
  private:
   transport::Channel channel_;
+  std::vector<std::uint8_t> frame_bytes_;  ///< the encoded frame
   wire::FrameDecoder decoder_;
+  wire::Frame decoded_;  ///< the decoded frame, handed to the channel
 };
 
 }  // namespace resmon::net

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <bit>
-#include <cstring>
 
 namespace resmon::net::wire {
 
@@ -10,26 +9,27 @@ namespace {
 
 // -- little-endian primitives -----------------------------------------------
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
+/// Writes little-endian fields at a cursor into a buffer already sized for
+/// them.
+class Writer {
+ public:
+  explicit Writer(std::uint8_t* p) : p_(p) {}
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
+  void u8(std::uint8_t v) { *p_++ = v; }
+  void u16(std::uint16_t v) { put(v, 2); }
+  void u32(std::uint32_t v) { put(v, 4); }
+  void u64(std::uint64_t v) { put(v, 8); }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+
+ private:
+  void put(std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      *p_++ = static_cast<std::uint8_t>(v >> (8 * i));
+    }
   }
-}
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
+  std::uint8_t* p_;
+};
 
 std::uint32_t get_u32(const std::uint8_t* p) {
   std::uint32_t v = 0;
@@ -49,44 +49,168 @@ double get_f64(const std::uint8_t* p) {
 
 // -- CRC-32 -----------------------------------------------------------------
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: kCrcTables[0] is the classic byte-at-a-time table;
+/// kCrcTables[k][b] is the CRC register after byte b followed by k zero
+/// bytes, so eight table lookups advance the CRC by eight bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+constexpr CrcTables kCrcTables = make_crc_tables();
 
 // -- frame assembly ---------------------------------------------------------
 
-/// Write the 16-byte header in front of an already-encoded payload.
-std::vector<std::uint8_t> frame(FrameType type,
-                                std::vector<std::uint8_t> payload) {
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderSize + payload.size());
-  put_u32(out, kMagic);
-  out.push_back(kProtocolVersion);
-  out.push_back(static_cast<std::uint8_t>(type));
-  put_u16(out, 0);  // reserved
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, crc32(payload));
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+/// Sizes `out` to one frame of type `type` with a `payload_len`-byte
+/// payload, writes the header except its CRC, and returns a writer at the
+/// payload. seal_frame() stamps the CRC once the payload is written.
+Writer begin_frame(std::vector<std::uint8_t>& out, FrameType type,
+                   std::size_t payload_len) {
+  out.resize(kHeaderSize + payload_len);
+  Writer header(out.data());
+  header.u32(kMagic);
+  header.u8(kProtocolVersion);
+  header.u8(static_cast<std::uint8_t>(type));
+  header.u16(0);  // reserved
+  header.u32(static_cast<std::uint32_t>(payload_len));
+  return Writer(out.data() + kHeaderSize);
+}
+
+void seal_frame(std::vector<std::uint8_t>& out) {
+  Writer(out.data() + 12)
+      .u32(crc32({out.data() + kHeaderSize, out.size() - kHeaderSize}));
+}
+
+/// The alternative T of `frame`, keeping its storage if it already holds
+/// one.
+template <typename T>
+T& reuse(Frame& frame) {
+  if (T* held = std::get_if<T>(&frame)) return *held;
+  return frame.emplace<T>();
+}
+
+/// Payload-size rule of each frame type, checked before a frame is
+/// accepted (the header and CRC are already valid).
+bool payload_well_formed(FrameType type, const std::uint8_t* p,
+                         std::size_t payload_len) {
+  switch (type) {
+    case FrameType::kHello: return payload_len == kHelloPayloadSize;
+    case FrameType::kHelloAck: return payload_len == kHelloAckPayloadSize;
+    case FrameType::kHeartbeat: return payload_len == kHeartbeatPayloadSize;
+    case FrameType::kShardHello:
+      return payload_len == kShardHelloPayloadSize;
+    case FrameType::kShardStatus:
+      return payload_len == kShardStatusPayloadSize;
+    case FrameType::kMeasurement:
+      return payload_len >= 16 &&
+             payload_len == measurement_payload_size(get_u32(p + 12));
+    case FrameType::kSlotSummary: {
+      if (payload_len < kSlotSummaryHeaderSize) return false;
+      const std::size_t dim = get_u32(p + 16);
+      const std::size_t count = get_u32(p + 20);
+      // Bound both fields by what could possibly fit in the (already
+      // length-capped) payload before multiplying, so a hostile header
+      // cannot overflow the size arithmetic. An empty summary (a slot in
+      // which every shard agent stayed silent) carries dim but no entries,
+      // so dim is only bounded when entries exist to hold it.
+      return !((count > 0 && dim > payload_len / 8) ||
+               count > payload_len / 4) &&
+             payload_len == slot_summary_payload_size(count, dim);
+    }
+  }
+  return false;
+}
+
+/// Decodes a checked payload of type `type` into `out`.
+void decode_payload(FrameType type, const std::uint8_t* p, Frame& out) {
+  switch (type) {
+    case FrameType::kHello:
+      out = HelloFrame{.node = get_u32(p), .num_resources = get_u32(p + 4)};
+      return;
+    case FrameType::kHelloAck:
+      out = HelloAckFrame{.node = get_u32(p),
+                          .accepted = p[4] != 0,
+                          .reason = p[5],
+                          .speaker_version = p[6]};
+      return;
+    case FrameType::kMeasurement: {
+      transport::MeasurementMessage& m =
+          reuse<transport::MeasurementMessage>(out);
+      m.node = get_u32(p);
+      m.step = static_cast<std::size_t>(get_u64(p + 4));
+      m.values.resize(get_u32(p + 12));
+      for (std::size_t i = 0; i < m.values.size(); ++i) {
+        m.values[i] = get_f64(p + 16 + 8 * i);
+      }
+      return;
+    }
+    case FrameType::kHeartbeat:
+      out = HeartbeatFrame{.node = get_u32(p), .step = get_u64(p + 4)};
+      return;
+    case FrameType::kShardHello:
+      out = ShardHelloFrame{.shard = get_u32(p),
+                            .first_node = get_u32(p + 4),
+                            .num_nodes = get_u32(p + 8),
+                            .num_resources = get_u32(p + 12),
+                            .protocol = get_u32(p + 16)};
+      return;
+    case FrameType::kSlotSummary: {
+      SlotSummaryFrame& s = reuse<SlotSummaryFrame>(out);
+      s.shard = get_u32(p);
+      s.step = get_u64(p + 4);
+      s.degraded = get_u32(p + 12);
+      s.num_resources = get_u32(p + 16);
+      s.measurements.resize(get_u32(p + 20));
+      const std::uint8_t* entry = p + kSlotSummaryHeaderSize;
+      for (transport::MeasurementMessage& m : s.measurements) {
+        m.node = get_u32(entry);
+        m.step = static_cast<std::size_t>(s.step);
+        m.values.resize(s.num_resources);
+        for (std::size_t r = 0; r < m.values.size(); ++r) {
+          m.values[r] = get_f64(entry + 4 + 8 * r);
+        }
+        entry += 4 + 8 * m.values.size();
+      }
+      return;
+    }
+    case FrameType::kShardStatus:
+      out = ShardStatusFrame{.shard = get_u32(p),
+                             .live = get_u32(p + 4),
+                             .stale = get_u32(p + 8),
+                             .dead = get_u32(p + 12)};
+      return;
+  }
 }
 
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
+  const CrcTables& t = kCrcTables;
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
   std::uint32_t c = 0xFFFFFFFFu;
-  for (std::uint8_t b : bytes) {
-    c = kCrcTable[(c ^ b) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = c ^ get_u32(p);
+    const std::uint32_t hi = get_u32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -107,16 +231,23 @@ const char* hello_reject_name(std::uint8_t reason) {
 
 std::string describe_hello_reject(std::uint8_t reason,
                                   std::uint8_t speaker_version) {
-  std::string out = "reason " + std::to_string(static_cast<int>(reason)) +
-                    ": " + hello_reject_name(reason);
+  // Built with append(): GCC 12 at -O3 raises a -Wrestrict false positive
+  // inside the equivalent chain of std::string operator+.
+  std::string out = "reason ";
+  out.append(std::to_string(static_cast<int>(reason)));
+  out.append(": ");
+  out.append(hello_reject_name(reason));
   if (static_cast<HelloReject>(reason) == HelloReject::kVersionMismatch) {
-    out += " (we speak wire protocol v" +
-           std::to_string(static_cast<int>(kProtocolVersion)) +
-           ", peer speaks ";
-    out += speaker_version == 0
-               ? std::string("an unreported version")
-               : "v" + std::to_string(static_cast<int>(speaker_version));
-    out += ")";
+    out.append(" (we speak wire protocol v");
+    out.append(std::to_string(static_cast<int>(kProtocolVersion)));
+    out.append(", peer speaks ");
+    if (speaker_version == 0) {
+      out.append("an unreported version");
+    } else {
+      out.append("v");
+      out.append(std::to_string(static_cast<int>(speaker_version)));
+    }
+    out.append(")");
   }
   return out;
 }
@@ -135,78 +266,99 @@ const char* wire_error_name(WireError error) {
   return "invalid error code";
 }
 
+void encode_into(std::vector<std::uint8_t>& out,
+                 const transport::MeasurementMessage& m) {
+  Writer w = begin_frame(out, FrameType::kMeasurement,
+                         measurement_payload_size(m.values.size()));
+  w.u32(static_cast<std::uint32_t>(m.node));
+  w.u64(static_cast<std::uint64_t>(m.step));
+  w.u32(static_cast<std::uint32_t>(m.values.size()));
+  for (double v : m.values) w.f64(v);
+  seal_frame(out);
+}
+
 std::vector<std::uint8_t> encode(const transport::MeasurementMessage& m) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(measurement_payload_size(m.values.size()));
-  put_u32(payload, static_cast<std::uint32_t>(m.node));
-  put_u64(payload, static_cast<std::uint64_t>(m.step));
-  put_u32(payload, static_cast<std::uint32_t>(m.values.size()));
-  for (double v : m.values) put_f64(payload, v);
-  return frame(FrameType::kMeasurement, std::move(payload));
+  std::vector<std::uint8_t> out;
+  encode_into(out, m);
+  return out;
 }
 
 std::vector<std::uint8_t> encode(const HelloFrame& f) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(kHelloPayloadSize);
-  put_u32(payload, f.node);
-  put_u32(payload, f.num_resources);
-  return frame(FrameType::kHello, std::move(payload));
+  std::vector<std::uint8_t> out;
+  Writer w = begin_frame(out, FrameType::kHello, kHelloPayloadSize);
+  w.u32(f.node);
+  w.u32(f.num_resources);
+  seal_frame(out);
+  return out;
 }
 
 std::vector<std::uint8_t> encode(const HelloAckFrame& f) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(kHelloAckPayloadSize);
-  put_u32(payload, f.node);
-  payload.push_back(f.accepted ? 1 : 0);
-  payload.push_back(f.reason);
-  payload.push_back(f.speaker_version);
-  payload.push_back(0);  // reserved
-  return frame(FrameType::kHelloAck, std::move(payload));
+  std::vector<std::uint8_t> out;
+  Writer w = begin_frame(out, FrameType::kHelloAck, kHelloAckPayloadSize);
+  w.u32(f.node);
+  w.u8(f.accepted ? 1 : 0);
+  w.u8(f.reason);
+  w.u8(f.speaker_version);
+  w.u8(0);  // reserved
+  seal_frame(out);
+  return out;
 }
 
 std::vector<std::uint8_t> encode(const HeartbeatFrame& f) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(kHeartbeatPayloadSize);
-  put_u32(payload, f.node);
-  put_u64(payload, f.step);
-  return frame(FrameType::kHeartbeat, std::move(payload));
+  std::vector<std::uint8_t> out;
+  Writer w = begin_frame(out, FrameType::kHeartbeat, kHeartbeatPayloadSize);
+  w.u32(f.node);
+  w.u64(f.step);
+  seal_frame(out);
+  return out;
 }
 
 std::vector<std::uint8_t> encode(const ShardHelloFrame& f) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(kShardHelloPayloadSize);
-  put_u32(payload, f.shard);
-  put_u32(payload, f.first_node);
-  put_u32(payload, f.num_nodes);
-  put_u32(payload, f.num_resources);
-  put_u32(payload, f.protocol);
-  return frame(FrameType::kShardHello, std::move(payload));
+  std::vector<std::uint8_t> out;
+  Writer w =
+      begin_frame(out, FrameType::kShardHello, kShardHelloPayloadSize);
+  w.u32(f.shard);
+  w.u32(f.first_node);
+  w.u32(f.num_nodes);
+  w.u32(f.num_resources);
+  w.u32(f.protocol);
+  seal_frame(out);
+  return out;
 }
 
 std::vector<std::uint8_t> encode(const SlotSummaryFrame& f) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(slot_summary_payload_size(f.measurements.size(),
-                                            f.num_resources));
-  put_u32(payload, f.shard);
-  put_u64(payload, f.step);
-  put_u32(payload, f.degraded);
-  put_u32(payload, f.num_resources);
-  put_u32(payload, static_cast<std::uint32_t>(f.measurements.size()));
+  // Sized from the entries themselves: an entry whose value count
+  // disagrees with num_resources still encodes, into a frame every decoder
+  // rejects as malformed.
+  std::size_t payload_len = kSlotSummaryHeaderSize;
   for (const transport::MeasurementMessage& m : f.measurements) {
-    put_u32(payload, static_cast<std::uint32_t>(m.node));
-    for (double v : m.values) put_f64(payload, v);
+    payload_len += 4 + 8 * m.values.size();
   }
-  return frame(FrameType::kSlotSummary, std::move(payload));
+  std::vector<std::uint8_t> out;
+  Writer w = begin_frame(out, FrameType::kSlotSummary, payload_len);
+  w.u32(f.shard);
+  w.u64(f.step);
+  w.u32(f.degraded);
+  w.u32(f.num_resources);
+  w.u32(static_cast<std::uint32_t>(f.measurements.size()));
+  for (const transport::MeasurementMessage& m : f.measurements) {
+    w.u32(static_cast<std::uint32_t>(m.node));
+    for (double v : m.values) w.f64(v);
+  }
+  seal_frame(out);
+  return out;
 }
 
 std::vector<std::uint8_t> encode(const ShardStatusFrame& f) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(kShardStatusPayloadSize);
-  put_u32(payload, f.shard);
-  put_u32(payload, f.live);
-  put_u32(payload, f.stale);
-  put_u32(payload, f.dead);
-  return frame(FrameType::kShardStatus, std::move(payload));
+  std::vector<std::uint8_t> out;
+  Writer w =
+      begin_frame(out, FrameType::kShardStatus, kShardStatusPayloadSize);
+  w.u32(f.shard);
+  w.u32(f.live);
+  w.u32(f.stale);
+  w.u32(f.dead);
+  seal_frame(out);
+  return out;
 }
 
 FrameDecoder::FrameDecoder(std::size_t max_payload)
@@ -214,32 +366,45 @@ FrameDecoder::FrameDecoder(std::size_t max_payload)
 
 bool FrameDecoder::feed(std::span<const std::uint8_t> bytes) {
   if (error_ != WireError::kNone) return false;
+  if (read_ > 0) {
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(read_));
+    checked_ -= read_;
+    read_ = 0;
+  }
   buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
-  while (try_decode_one()) {
+  while (check_one()) {
   }
   return error_ == WireError::kNone;
 }
 
+bool FrameDecoder::next_into(Frame& out) {
+  if (read_ == checked_) return false;
+  const std::uint8_t* h = buffer_.data() + read_;
+  decode_payload(static_cast<FrameType>(h[5]), h + kHeaderSize, out);
+  read_ += kHeaderSize + get_u32(h + 8);
+  return true;
+}
+
 std::optional<Frame> FrameDecoder::next() {
-  if (ready_.empty()) return std::nullopt;
-  Frame f = std::move(ready_.front());
-  ready_.pop_front();
+  Frame f;
+  if (!next_into(f)) return std::nullopt;
   return f;
 }
 
 bool FrameDecoder::finish() {
   if (error_ != WireError::kNone) return false;
-  if (!buffer_.empty()) {
+  if (!at_frame_boundary()) {
     error_ = WireError::kTruncated;
     return false;
   }
   return true;
 }
 
-bool FrameDecoder::try_decode_one() {
+bool FrameDecoder::check_one() {
   if (error_ != WireError::kNone) return false;
-  if (buffer_.size() < kHeaderSize) return false;
-  const std::uint8_t* h = buffer_.data();
+  if (buffer_.size() - checked_ < kHeaderSize) return false;
+  const std::uint8_t* h = buffer_.data() + checked_;
 
   // Validate the header before waiting for (or buffering) any payload, so
   // a hostile length field cannot drive allocation.
@@ -263,129 +428,18 @@ bool FrameDecoder::try_decode_one() {
     return false;
   }
   const std::size_t total = kHeaderSize + payload_len;
-  if (buffer_.size() < total) return false;  // wait for more bytes
+  if (buffer_.size() - checked_ < total) return false;  // wait for more
 
   const std::uint8_t* p = h + kHeaderSize;
   if (crc32({p, payload_len}) != get_u32(h + 12)) {
     error_ = WireError::kCrcMismatch;
     return false;
   }
-
-  switch (static_cast<FrameType>(type)) {
-    case FrameType::kHello: {
-      if (payload_len != kHelloPayloadSize) {
-        error_ = WireError::kMalformedPayload;
-        return false;
-      }
-      ready_.push_back(HelloFrame{.node = get_u32(p),
-                                  .num_resources = get_u32(p + 4)});
-      break;
-    }
-    case FrameType::kHelloAck: {
-      if (payload_len != kHelloAckPayloadSize) {
-        error_ = WireError::kMalformedPayload;
-        return false;
-      }
-      ready_.push_back(HelloAckFrame{.node = get_u32(p),
-                                     .accepted = p[4] != 0,
-                                     .reason = p[5],
-                                     .speaker_version = p[6]});
-      break;
-    }
-    case FrameType::kMeasurement: {
-      if (payload_len < 16) {
-        error_ = WireError::kMalformedPayload;
-        return false;
-      }
-      const std::size_t count = get_u32(p + 12);
-      if (payload_len != measurement_payload_size(count)) {
-        error_ = WireError::kMalformedPayload;
-        return false;
-      }
-      transport::MeasurementMessage m;
-      m.node = get_u32(p);
-      m.step = static_cast<std::size_t>(get_u64(p + 4));
-      m.values.resize(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        m.values[i] = get_f64(p + 16 + 8 * i);
-      }
-      ready_.push_back(std::move(m));
-      break;
-    }
-    case FrameType::kHeartbeat: {
-      if (payload_len != kHeartbeatPayloadSize) {
-        error_ = WireError::kMalformedPayload;
-        return false;
-      }
-      ready_.push_back(
-          HeartbeatFrame{.node = get_u32(p), .step = get_u64(p + 4)});
-      break;
-    }
-    case FrameType::kShardHello: {
-      if (payload_len != kShardHelloPayloadSize) {
-        error_ = WireError::kMalformedPayload;
-        return false;
-      }
-      ready_.push_back(ShardHelloFrame{.shard = get_u32(p),
-                                       .first_node = get_u32(p + 4),
-                                       .num_nodes = get_u32(p + 8),
-                                       .num_resources = get_u32(p + 12),
-                                       .protocol = get_u32(p + 16)});
-      break;
-    }
-    case FrameType::kSlotSummary: {
-      if (payload_len < kSlotSummaryHeaderSize) {
-        error_ = WireError::kMalformedPayload;
-        return false;
-      }
-      const std::size_t dim = get_u32(p + 16);
-      const std::size_t count = get_u32(p + 20);
-      // Bound both fields by what could possibly fit in the (already
-      // length-capped) payload before multiplying, so a hostile header
-      // cannot overflow the size arithmetic. An empty summary (a slot in
-      // which every shard agent stayed silent) carries dim but no entries,
-      // so dim is only bounded when entries exist to hold it.
-      if ((count > 0 && dim > payload_len / 8) || count > payload_len / 4 ||
-          payload_len != slot_summary_payload_size(count, dim)) {
-        error_ = WireError::kMalformedPayload;
-        return false;
-      }
-      SlotSummaryFrame s;
-      s.shard = get_u32(p);
-      s.step = get_u64(p + 4);
-      s.degraded = get_u32(p + 12);
-      s.num_resources = static_cast<std::uint32_t>(dim);
-      s.measurements.reserve(count);
-      const std::uint8_t* entry = p + kSlotSummaryHeaderSize;
-      for (std::size_t i = 0; i < count; ++i) {
-        transport::MeasurementMessage m;
-        m.node = get_u32(entry);
-        m.step = static_cast<std::size_t>(s.step);
-        m.values.resize(dim);
-        for (std::size_t r = 0; r < dim; ++r) {
-          m.values[r] = get_f64(entry + 4 + 8 * r);
-        }
-        entry += 4 + 8 * dim;
-        s.measurements.push_back(std::move(m));
-      }
-      ready_.push_back(std::move(s));
-      break;
-    }
-    case FrameType::kShardStatus: {
-      if (payload_len != kShardStatusPayloadSize) {
-        error_ = WireError::kMalformedPayload;
-        return false;
-      }
-      ready_.push_back(ShardStatusFrame{.shard = get_u32(p),
-                                        .live = get_u32(p + 4),
-                                        .stale = get_u32(p + 8),
-                                        .dead = get_u32(p + 12)});
-      break;
-    }
+  if (!payload_well_formed(static_cast<FrameType>(type), p, payload_len)) {
+    error_ = WireError::kMalformedPayload;
+    return false;
   }
-
-  buffer_.erase(buffer_.begin(),
-                buffer_.begin() + static_cast<std::ptrdiff_t>(total));
+  checked_ += total;
   ++frames_decoded_;
   bytes_consumed_ += total;
   return true;

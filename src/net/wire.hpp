@@ -11,10 +11,14 @@
 // as a typed WireError — never an exception, crash or unbounded
 // allocation — because remote peers must not be able to take the
 // controller down.
+//
+// Both directions have a storage-reusing form for per-slot hot paths:
+// encode_into() writes a frame into a caller's buffer and
+// FrameDecoder::next_into() decodes into a caller's Frame, so a loop that
+// keeps both across calls allocates nothing once warm (net::LoopbackLink).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
 #include <string>
@@ -137,12 +141,17 @@ enum class WireError : std::uint8_t {
 /// Human-readable name of a WireError (stable, for logs and tests).
 const char* wire_error_name(WireError error);
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `bytes`.
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `bytes`,
+/// computed eight bytes per step (slicing-by-8).
 std::uint32_t crc32(std::span<const std::uint8_t> bytes);
 
 /// Encode one frame. The returned buffer is a complete frame: header
 /// (including CRC over the payload) followed by the payload.
 std::vector<std::uint8_t> encode(const transport::MeasurementMessage& m);
+/// Same frame as encode(m), written over `out` (resized to the frame; its
+/// capacity is reused).
+void encode_into(std::vector<std::uint8_t>& out,
+                 const transport::MeasurementMessage& m);
 std::vector<std::uint8_t> encode(const HelloFrame& f);
 std::vector<std::uint8_t> encode(const HelloAckFrame& f);
 std::vector<std::uint8_t> encode(const HeartbeatFrame& f);
@@ -157,20 +166,33 @@ std::vector<std::uint8_t> encode(const ShardStatusFrame& f);
 ///   while (auto frame = dec.next()) handle(*frame);
 ///   if (dec.error() != WireError::kNone) drop_connection();
 ///
+/// feed() checks every complete frame it can see (header, CRC, payload
+/// size for the frame type), so a stream error surfaces there; the checked
+/// frames stay in the byte buffer and next()/next_into() decode them one at
+/// a time from a read offset. feed() drops the bytes already read once per
+/// call, before it appends.
+///
 /// Once an error is set the decoder is poisoned: further feed() calls
-/// return false and next() yields nothing. A stream that ends cleanly
-/// between frames passes finish(); ending mid-frame is kTruncated.
+/// return false and no frame past the error is ever yielded. A stream that
+/// ends cleanly between frames passes finish(); ending mid-frame is
+/// kTruncated.
 class FrameDecoder {
  public:
   explicit FrameDecoder(std::size_t max_payload = kMaxPayloadSize);
 
-  /// Append stream bytes and decode as many complete frames as they
+  /// Append stream bytes and check as many complete frames as they
   /// contain. Returns false iff the decoder is (now) in an error state.
   /// A header announcing an oversized payload is rejected here, before
   /// any payload is buffered.
   bool feed(std::span<const std::uint8_t> bytes);
 
-  /// Pop the next fully decoded frame, if any.
+  /// Decode the next checked frame into `out` and return true, or return
+  /// false if there is none. When `out` already holds the frame's
+  /// alternative, its storage (measurement values, summary entries) is
+  /// reused.
+  bool next_into(Frame& out);
+
+  /// Pop the next decoded frame, if any (next_into() a fresh Frame).
   std::optional<Frame> next();
 
   /// Signal end-of-stream. Returns true iff the stream ended exactly on a
@@ -181,22 +203,26 @@ class FrameDecoder {
   WireError error() const { return error_; }
 
   /// True when no partial frame is buffered.
-  bool at_frame_boundary() const { return buffer_.empty(); }
+  bool at_frame_boundary() const { return checked_ == buffer_.size(); }
 
   /// Bytes currently buffered while waiting for the rest of a frame.
-  std::size_t buffered_bytes() const { return buffer_.size(); }
+  std::size_t buffered_bytes() const { return buffer_.size() - checked_; }
 
   std::uint64_t frames_decoded() const { return frames_decoded_; }
   std::uint64_t bytes_consumed() const { return bytes_consumed_; }
 
  private:
-  /// Try to decode one frame from the front of buffer_. Returns true if a
-  /// frame was consumed; false if more bytes are needed or error_ was set.
-  bool try_decode_one();
+  /// Check the frame starting at checked_. Returns true and moves checked_
+  /// past it if it is complete and valid; false if more bytes are needed
+  /// or error_ was set.
+  bool check_one();
 
   std::size_t max_payload_;
+  /// [read_, checked_) holds checked frames not yet returned by
+  /// next_into(); [checked_, size) is the start of an incomplete frame.
   std::vector<std::uint8_t> buffer_;
-  std::deque<Frame> ready_;
+  std::size_t read_ = 0;
+  std::size_t checked_ = 0;
   WireError error_ = WireError::kNone;
   std::uint64_t frames_decoded_ = 0;
   std::uint64_t bytes_consumed_ = 0;

@@ -88,10 +88,26 @@ Histogram::Histogram(std::vector<double> bounds)
 }
 
 void Histogram::observe(double v) {
-  const std::size_t i = static_cast<std::size_t>(
-      std::lower_bound(bounds_.begin(), bounds_.end(), v) - bounds_.begin());
-  buckets_[i].fetch_add(1, std::memory_order_relaxed);
+  buckets_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
+  add_to_sum(v);
+}
+
+void Histogram::observe_counts(std::span<const std::uint64_t> bucket_counts,
+                               double sum) {
+  RESMON_REQUIRE(bucket_counts.size() == bounds_.size() + 1,
+                 "histogram batch needs one count per bucket");
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < bucket_counts.size(); ++i) {
+    if (bucket_counts[i] == 0) continue;
+    buckets_[i].fetch_add(bucket_counts[i], std::memory_order_relaxed);
+    total += bucket_counts[i];
+  }
+  count_.fetch_add(total, std::memory_order_relaxed);
+  add_to_sum(sum);
+}
+
+void Histogram::add_to_sum(double v) {
   double cur = sum_.load(std::memory_order_relaxed);
   while (!sum_.compare_exchange_weak(cur, cur + v,
                                      std::memory_order_relaxed)) {

@@ -24,12 +24,14 @@
 // path.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -73,6 +75,23 @@ class Histogram {
 
   void observe(double v);
 
+  /// The bucket observe(v) counts `v` in: the number of bounds below `v`
+  /// (bounds().size() is the +Inf bucket; NaN lands in bucket 0). The one
+  /// bucketing rule, exposed so a batch of observations can be bucketed
+  /// locally and added with observe_counts().
+  std::size_t bucket_index(double v) const {
+    return static_cast<std::size_t>(
+        std::lower_bound(bounds_.begin(), bounds_.end(), v) -
+        bounds_.begin());
+  }
+
+  /// Add a locally bucketed batch: `bucket_counts[i]` observations in
+  /// bucket i (bounds().size() + 1 entries) whose values sum to `sum`.
+  /// Bucket counts and count() end as if each value had been observed;
+  /// sum() gains `sum` in one addition.
+  void observe_counts(std::span<const std::uint64_t> bucket_counts,
+                      double sum);
+
   const std::vector<double>& bounds() const { return bounds_; }
   /// Count in bucket `i` alone (0 .. bounds().size(); the last index is
   /// the +Inf overflow bucket). Not cumulative.
@@ -81,6 +100,8 @@ class Histogram {
   double sum() const { return sum_.load(std::memory_order_relaxed); }
 
  private:
+  void add_to_sum(double v);
+
   std::vector<double> bounds_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;  // bounds_+1 slots
   std::atomic<std::uint64_t> count_{0};

@@ -1,5 +1,7 @@
 #include "transport/channel.hpp"
 
+#include <utility>
+
 namespace resmon::transport {
 
 Channel::Channel(const ChannelOptions& options)
@@ -9,7 +11,7 @@ Channel::Channel(const ChannelOptions& options)
                  "drop probability must be in [0,1]");
 }
 
-void Channel::send(MeasurementMessage message) {
+void Channel::send(const MeasurementMessage& message) {
   ++messages_sent_;
   bytes_sent_ += message.wire_size();
   if (options_.drop_probability > 0.0 &&
@@ -21,21 +23,34 @@ void Channel::send(MeasurementMessage message) {
   if (options_.max_delay_slots > 0) {
     delay = rng_.index(options_.max_delay_slots + 1);
   }
-  queue_.push_back({std::move(message), delay});
+  if (in_flight_ == queue_.size()) queue_.emplace_back();
+  InFlight& entry = queue_[in_flight_++];
+  entry.message = message;  // reuses the recycled entry's value storage
+  entry.slots_remaining = delay;
 }
 
-std::vector<MeasurementMessage> Channel::drain() {
-  std::vector<MeasurementMessage> out;
-  std::deque<InFlight> still_in_flight;
-  for (InFlight& entry : queue_) {
+std::span<MeasurementMessage> Channel::drain_into(
+    std::vector<MeasurementMessage>& out) {
+  std::size_t delivered = 0;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < in_flight_; ++i) {
+    InFlight& entry = queue_[i];
     if (entry.slots_remaining == 0) {
-      out.push_back(std::move(entry.message));
+      if (delivered == out.size()) out.emplace_back();
+      out[delivered++] = entry.message;
     } else {
       --entry.slots_remaining;
-      still_in_flight.push_back(std::move(entry));
+      if (kept != i) std::swap(queue_[kept], entry);
+      ++kept;
     }
   }
-  queue_ = std::move(still_in_flight);
+  in_flight_ = kept;
+  return {out.data(), delivered};
+}
+
+std::vector<MeasurementMessage> Link::drain() {
+  std::vector<MeasurementMessage> out;
+  out.resize(drain_into(out).size());
   return out;
 }
 
@@ -58,15 +73,9 @@ void CentralStore::apply(const MeasurementMessage& message) {
       has(message.node)) {
     return;  // out-of-order duplicate; keep the fresher measurement
   }
+  if (!has(message.node)) ++nodes_heard_;
   values_[message.node] = message.values;
   last_step_[message.node] = static_cast<long long>(message.step);
-}
-
-bool CentralStore::complete() const {
-  for (std::size_t i = 0; i < num_nodes_; ++i) {
-    if (!has(i)) return false;
-  }
-  return true;
 }
 
 const std::vector<double>& CentralStore::stored(std::size_t node) const {

@@ -8,30 +8,14 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "transport/wire_format.hpp"
 #include "transport/link.hpp"
 
 namespace resmon::transport {
-
-/// One uplink message: node i's measurement x_{i,t}.
-struct MeasurementMessage {
-  std::size_t node = 0;
-  std::size_t step = 0;
-  std::vector<double> values;
-
-  /// Serialized size used for bandwidth accounting: the exact byte count of
-  /// this message as one wire-protocol frame (header + payload; layout in
-  /// transport/wire_format.hpp). net::wire::encode() produces exactly this many
-  /// bytes, so simulated and real transports report identical bandwidth.
-  std::size_t wire_size() const {
-    return net::wire::measurement_frame_size(values.size());
-  }
-};
 
 /// Failure-injection knobs for the uplink. Defaults model a reliable
 /// in-order link; drops/delays simulate a congested or flaky network.
@@ -59,14 +43,16 @@ class Channel final : public Link {
   Channel() = default;
   explicit Channel(const ChannelOptions& options);
 
-  /// Enqueue a message for delivery to the central node.
-  void send(MeasurementMessage message) override;
+  /// Enqueue a copy of `message` for delivery to the central node.
+  void send(const MeasurementMessage& message) override;
 
-  /// Deliver the messages due this slot (the central node drains the
-  /// channel once per time slot; delayed messages surface later).
-  std::vector<MeasurementMessage> drain() override;
+  /// Deliver the messages due this slot, in send order (the central node
+  /// drains the channel once per time slot; delayed messages surface
+  /// later).
+  std::span<MeasurementMessage> drain_into(
+      std::vector<MeasurementMessage>& out) override;
 
-  std::size_t pending() const override { return queue_.size(); }
+  std::size_t pending() const override { return in_flight_; }
   std::uint64_t messages_sent() const override { return messages_sent_; }
   std::uint64_t bytes_sent() const override { return bytes_sent_; }
   std::uint64_t messages_dropped() const override {
@@ -81,7 +67,10 @@ class Channel final : public Link {
 
   ChannelOptions options_;
   Rng rng_;
-  std::deque<InFlight> queue_;
+  /// Messages in flight are queue_[0, in_flight_) in send order; entries
+  /// past it keep their value storage for the next send().
+  std::vector<InFlight> queue_;
+  std::size_t in_flight_ = 0;
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t messages_dropped_ = 0;
@@ -104,7 +93,7 @@ class CentralStore {
   bool has(std::size_t node) const { return last_step_[node] >= 0; }
 
   /// True once every node has reported at least once.
-  bool complete() const;
+  bool complete() const { return nodes_heard_ == num_nodes_; }
 
   /// z_{i,t}: the stored measurement for `node`. Requires has(node).
   const std::vector<double>& stored(std::size_t node) const;
@@ -124,6 +113,7 @@ class CentralStore {
   std::size_t num_resources_;
   std::vector<std::vector<double>> values_;
   std::vector<long long> last_step_;  // -1 = nothing received yet
+  std::size_t nodes_heard_ = 0;       // nodes with last_step_ >= 0
 };
 
 }  // namespace resmon::transport

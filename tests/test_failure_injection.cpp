@@ -115,7 +115,7 @@ TEST(Deadband, FleetFactorySupportsIt) {
   const trace::InMemoryTrace t =
       testing::make_golden_trace("alibaba", 10, 500, 5);
   collect::FleetCollector fleet(
-      t, collect::make_policy_factory(collect::PolicyKind::kDeadband, 0.3));
+      t, {.kind = collect::PolicyKind::kDeadband, .max_frequency = 0.3});
   for (std::size_t step = 0; step < t.num_steps(); ++step) fleet.step(step);
   EXPECT_NEAR(fleet.average_actual_frequency(), 0.3, 0.1);
 }

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "common/error.hpp"
 #include "faultnet/agent_hook.hpp"
@@ -300,6 +302,78 @@ TEST(FaultyLink, ReorderShufflesABatchDeterministically) {
                                   std::vector<std::size_t>{
                                       0, 1, 2, 3, 4, 5, 6, 7}.begin()));
   EXPECT_NE(order_a, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+/// One delivered message as (node, step, values).
+using Delivery = std::tuple<std::size_t, std::size_t, std::vector<double>>;
+
+TEST(FaultyLink, DrainIntoMatchesDrainUnderEveryFaultKind) {
+  // One spec per fault kind and one mixing them all. A link drained into
+  // one reused vector must deliver exactly what an identical link drained
+  // into fresh vectors delivers, slot by slot, in order.
+  for (const char* text :
+       {"drop=0.3;seed=3", "dup=0.4;seed=3", "delay=0.5:3;seed=3",
+        "reorder=0.7;seed=3", "corrupt=0.2;seed=3",
+        "drop=0.1;dup=0.1;delay=0.3:4;reorder=0.5;corrupt=0.1;seed=9"}) {
+    const FaultSpec spec = FaultSpec::parse(text);
+    FaultyLink fresh(spec, loopback());
+    FaultyLink reused(spec, loopback());
+    std::vector<transport::MeasurementMessage> inbox;
+    std::size_t delivered = 0;
+    for (std::size_t t = 0; t < 120; ++t) {
+      // A varying number of senders, so the reused inbox both grows and
+      // keeps spare elements past the delivered prefix.
+      const std::size_t senders = 1 + (t * 7) % 13;
+      for (std::size_t node = 0; node < senders; ++node) {
+        const transport::MeasurementMessage m{
+            .node = node,
+            .step = t,
+            .values = {static_cast<double>(t) + 0.5,
+                       static_cast<double>(node) * 0.25}};
+        fresh.send(m);
+        reused.send(m);
+      }
+      std::vector<Delivery> want;
+      for (const auto& m : fresh.drain()) {
+        want.emplace_back(m.node, m.step, m.values);
+      }
+      std::vector<Delivery> got;
+      for (const auto& m : reused.drain_into(inbox)) {
+        got.emplace_back(m.node, m.step, m.values);
+      }
+      ASSERT_EQ(got, want) << text << " slot " << t;
+      delivered += got.size();
+    }
+    EXPECT_EQ(reused.messages_sent(), fresh.messages_sent()) << text;
+    EXPECT_EQ(reused.messages_dropped(), fresh.messages_dropped()) << text;
+    EXPECT_EQ(reused.crc_rejects(), fresh.crc_rejects()) << text;
+    EXPECT_EQ(reused.pending(), fresh.pending()) << text;
+    EXPECT_GT(delivered, 0u) << text;
+  }
+}
+
+TEST(FaultyLink, WarmDrainIntoReusesTheInboxStorage) {
+  // Once the inbox has held a slot's worth of messages, later slots of at
+  // most that size land in the same element buffers.
+  constexpr std::size_t kWarm = 6;
+  FaultyLink link(FaultSpec::parse("drop=0.3;seed=5"), loopback());
+  std::vector<transport::MeasurementMessage> inbox;
+  for (std::size_t node = 0; node < kWarm; ++node) inbox.push_back(msg(node, 0));
+  std::vector<const double*> storage;
+  for (const auto& m : inbox) storage.push_back(m.values.data());
+  for (std::size_t t = 1; t < 40; ++t) {
+    for (std::size_t node = 0; node <= t % kWarm; ++node) {
+      link.send(msg(node, t, static_cast<double>(t)));
+    }
+    const auto batch = link.drain_into(inbox);
+    ASSERT_LE(batch.size(), kWarm);
+    EXPECT_EQ(inbox.size(), kWarm);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(batch[i].values.data(), storage[i]) << "slot " << t;
+      EXPECT_EQ(batch[i].step, t);
+      EXPECT_EQ(batch[i].values[0], static_cast<double>(t));
+    }
+  }
 }
 
 // ---- agent/controller hook adapters ---------------------------------------

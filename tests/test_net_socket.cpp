@@ -60,8 +60,9 @@ TEST(NetSocket, TcpRunIsBitIdenticalToTheLoopbackLinkPath) {
       collect::make_policy_factory(collect::PolicyKind::kAdaptive, 0.3);
 
   // Reference: the in-process path through the same wire codec.
-  collect::FleetCollector reference(trace, factory, {}, nullptr,
-                                    std::make_unique<LoopbackLink>());
+  collect::FleetCollector reference(
+      trace, {.kind = collect::PolicyKind::kAdaptive, .max_frequency = 0.3},
+      {}, std::make_unique<LoopbackLink>());
   std::vector<StoreSnapshot> expected;
   for (std::size_t t = 0; t < kSlots; ++t) {
     reference.step(t);

@@ -224,7 +224,7 @@ TEST(TraceBuffer, RingOverwritesOldestAndCountsDrops) {
   obs::TraceBuffer buf(4);
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < 10; ++i) {
-    buf.record("e" + std::to_string(i), t0,
+    buf.record(std::string("e").append(std::to_string(i)), t0,
                t0 + std::chrono::microseconds(i));
   }
   EXPECT_EQ(buf.size(), 4u);

@@ -473,7 +473,8 @@ TEST(Wire, DescribeHelloRejectNamesBothVersionsOnMismatch) {
   const std::string described = describe_hello_reject(
       static_cast<std::uint8_t>(HelloReject::kVersionMismatch), 3);
   EXPECT_NE(described.find("version mismatch"), std::string::npos);
-  EXPECT_NE(described.find("v" + std::to_string(kProtocolVersion)),
+  EXPECT_NE(described.find(
+                std::string("v").append(std::to_string(kProtocolVersion))),
             std::string::npos);
   EXPECT_NE(described.find("v3"), std::string::npos);
   // An ack from a build predating the speaker_version byte reports 0.
@@ -491,6 +492,136 @@ TEST(Wire, Crc32MatchesTheIeeeCheckValue) {
   const std::uint8_t check[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
   EXPECT_EQ(crc32(check), 0xCBF43926u);
   EXPECT_EQ(crc32({}), 0x00000000u);
+}
+
+/// The plain bytewise CRC-32 loop (one table lookup per byte), kept here as
+/// the reference the slicing-by-8 crc32() must equal.
+std::uint32_t bytewise_crc32(const std::uint8_t* p, std::size_t n) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+    table[i] = c;
+  }
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Wire, Crc32EqualsTheBytewiseLoopAtEveryLengthAndAlignment) {
+  // Lengths 0..1100 cover the 8-byte body with every 0-7 byte tail, and the
+  // start offsets 0..7 every alignment of the 8-byte loads.
+  std::mt19937_64 rng(7);
+  std::vector<std::uint8_t> buf(1100 + 8);
+  for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      const std::uint8_t* p = buf.data() + offset;
+      ASSERT_EQ(crc32({p, len}), bytewise_crc32(p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  const std::vector<std::uint8_t> ones(1024, 0xFF);
+  EXPECT_EQ(crc32(ones), bytewise_crc32(ones.data(), ones.size()));
+}
+
+TEST(Wire, NextIntoDecodesMixedFramesReusingOneFrame) {
+  // A measurement, a slot summary of another dimension and a heartbeat
+  // through one decoder into one Frame: each decode replaces the previous
+  // alternative, and a second measurement reuses the first's storage.
+  const transport::MeasurementMessage m1 =
+      sample_message(3, 40, {0.5, -0.0, 1e-300});
+  const transport::MeasurementMessage m2 = sample_message(9, 41, {0.75});
+  SlotSummaryFrame s;
+  s.shard = 2;
+  s.step = 41;
+  s.num_resources = 5;
+  s.measurements.push_back(sample_message(6, 41, {1, 2, 3, 4, 5}));
+  s.measurements.push_back(sample_message(8, 41, {-1, -2, -3, -4, -5}));
+  const HeartbeatFrame hb{.node = 11, .step = 42};
+
+  std::vector<std::uint8_t> stream;
+  for (const std::vector<std::uint8_t>& bytes :
+       {encode(m1), encode(s), encode(hb), encode(m2)}) {
+    stream.insert(stream.end(), bytes.begin(), bytes.end());
+  }
+  FrameDecoder dec;
+  ASSERT_TRUE(dec.feed(stream));
+  Frame out;
+
+  ASSERT_TRUE(dec.next_into(out));
+  auto* got1 = std::get_if<transport::MeasurementMessage>(&out);
+  ASSERT_NE(got1, nullptr);
+  EXPECT_EQ(got1->node, 3u);
+  EXPECT_EQ(got1->step, 40u);
+  ASSERT_EQ(got1->values.size(), 3u);
+  for (std::size_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got1->values[r]),
+              std::bit_cast<std::uint64_t>(m1.values[r]));
+  }
+
+  ASSERT_TRUE(dec.next_into(out));
+  auto* got_s = std::get_if<SlotSummaryFrame>(&out);
+  ASSERT_NE(got_s, nullptr);
+  EXPECT_EQ(got_s->shard, 2u);
+  EXPECT_EQ(got_s->num_resources, 5u);
+  ASSERT_EQ(got_s->measurements.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(got_s->measurements[i].node, s.measurements[i].node);
+    EXPECT_EQ(got_s->measurements[i].step, 41u);
+    EXPECT_EQ(got_s->measurements[i].values, s.measurements[i].values);
+  }
+
+  ASSERT_TRUE(dec.next_into(out));
+  auto* got_hb = std::get_if<HeartbeatFrame>(&out);
+  ASSERT_NE(got_hb, nullptr);
+  EXPECT_EQ(got_hb->node, 11u);
+  EXPECT_EQ(got_hb->step, 42u);
+
+  // Back to a measurement, then one more into the same alternative: its
+  // value buffer is kept and resized, never stale.
+  ASSERT_TRUE(dec.next_into(out));
+  auto* got2 = std::get_if<transport::MeasurementMessage>(&out);
+  ASSERT_NE(got2, nullptr);
+  EXPECT_EQ(got2->node, 9u);
+  EXPECT_EQ(got2->values, m2.values);
+  ASSERT_TRUE(dec.feed(encode(m1)));
+  got2->values.reserve(8);
+  const double* storage = got2->values.data();
+  ASSERT_TRUE(dec.next_into(out));
+  EXPECT_EQ(std::get<transport::MeasurementMessage>(out).values.data(),
+            storage);
+  EXPECT_EQ(std::get<transport::MeasurementMessage>(out).values, m1.values);
+
+  EXPECT_FALSE(dec.next_into(out));
+  EXPECT_TRUE(dec.finish());
+  EXPECT_EQ(dec.frames_decoded(), 5u);
+}
+
+TEST(Wire, DecoderKeepsUnreadFramesAcrossFeeds) {
+  // Frames left unread when more bytes arrive survive the once-per-feed
+  // compaction, in order, and a frame split across feeds completes.
+  const std::vector<std::uint8_t> a = encode(sample_message(1, 1, {0.1}));
+  const std::vector<std::uint8_t> b = encode(sample_message(2, 2, {0.2}));
+  const std::vector<std::uint8_t> c = encode(sample_message(3, 3, {0.3}));
+  FrameDecoder dec;
+  ASSERT_TRUE(dec.feed(a));
+  ASSERT_TRUE(dec.feed(b));
+  ASSERT_TRUE(dec.feed({c.data(), 5}));
+  EXPECT_FALSE(dec.at_frame_boundary());
+  EXPECT_EQ(dec.buffered_bytes(), 5u);
+  Frame out;
+  ASSERT_TRUE(dec.next_into(out));
+  EXPECT_EQ(std::get<transport::MeasurementMessage>(out).node, 1u);
+  ASSERT_TRUE(dec.feed({c.data() + 5, c.size() - 5}));
+  for (const std::size_t node : {2u, 3u}) {
+    ASSERT_TRUE(dec.next_into(out));
+    EXPECT_EQ(std::get<transport::MeasurementMessage>(out).node, node);
+  }
+  EXPECT_FALSE(dec.next_into(out));
+  EXPECT_TRUE(dec.finish());
 }
 
 }  // namespace
